@@ -1,8 +1,8 @@
 // E21: columnar segment scans vs the row path.
 //
 // One table, two physical layouts: a MemTable (the row path every scan used
-// before this subsystem: ScanAll materializes the vector, then predicates
-// filter it) and a ColumnarTable over the same rows (dictionary / RLE /
+// before this subsystem: a full-width scan materializes the vector, then
+// predicates filter it) and a ColumnarTable over the same rows (dictionary / RLE /
 // delta-encoded blocks with zone maps). A selectivity sweep over a range
 // predicate on the clustered id column measures three scan strategies —
 // row-path materialize+filter, columnar decode without hints, and columnar
@@ -81,7 +81,8 @@ struct SweepResult {
 std::vector<exec::Row> RowPathScan(const query::MemTable& table,
                                    const std::vector<int>& columns,
                                    const std::vector<exec::Predicate>& preds) {
-  std::vector<exec::Row> rows = table.ScanAll();
+  exec::BatchSourcePtr source = table.ScanBatches({});
+  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
   std::vector<exec::Row> out;
   for (exec::Row& row : rows) {
     if (!exec::EvalAll(preds, row)) continue;
@@ -162,7 +163,8 @@ DecodeResult RunDecode(const std::string& name,
   r.encoding = name;
   r.encoded_bytes = table.EncodedBytes();
   const auto start = Clock::now();
-  std::vector<exec::Row> rows = table.ScanAll();
+  exec::BatchSourcePtr source = table.ScanBatches({});
+  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
   r.ms = MsSince(start);
   r.mrows_s = static_cast<double>(values.size()) / 1e3 / std::max(0.001, r.ms);
   r.diverged = rows.size() != values.size();

@@ -85,8 +85,9 @@ int main() {
     {
       auto left =
           std::make_unique<exec::RowSourceOp>(left_schema, candidates);
-      auto right = std::make_unique<exec::RowSourceOp>(customers.schema(),
-                                                       customers.ScanAll());
+      exec::BatchSourcePtr scan = customers.ScanBatches({});
+      auto right = std::make_unique<exec::RowSourceOp>(
+          customers.schema(), exec::DrainBatchSource(scan.get()));
       auto join = std::make_unique<exec::HashJoinOp>(std::move(left),
                                                      std::move(right), 1, 0);
       exec::HashJoinOp* join_ptr = join.get();

@@ -176,13 +176,14 @@ TaskOutcome SimulatedCluster::StoreOnNode(NodeId node_id,
                                           uint64_t* epoch_at_store) {
   std::shared_ptr<Partition> partition = PartitionFor(node_id);
   Node* node = data_nodes_[node_id].get();
-  return node->Run([partition, node, doc, epoch_at_store] {
+  return node->Run([this, partition, node, doc, epoch_at_store] {
     // Upsert: drop stale index postings first so re-ingest (new versions,
     // re-replication retries) stays idempotent.
     if (partition->docs.count(doc.id)) {
       partition->inverted.RemoveDocument(doc.id);
     }
     partition->docs[doc.id] = doc;
+    partition->placed[doc.id] = placement_clock_.fetch_add(1);
     partition->inverted.AddDocument(doc.id, doc.Text());
     // Read the incarnation AFTER the store: if the node dies between here
     // and the caller recording it as a holder, the epoch mismatch tells
@@ -1332,6 +1333,9 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
   struct Moved {
     model::DocId id;
     uint64_t version;  // version we copied; deletion is checked against it
+    // placement_clock_ at the directory swap: copies placed on `from` at or
+    // after it were put there by someone else and are not deleted.
+    uint64_t swapped_at;
   };
   std::vector<Moved> moved;
   uint64_t bytes = 0;
@@ -1341,6 +1345,7 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     uint64_t epoch_to = 0;
     if (StoreOnNode(to, *doc, &epoch_to) != TaskOutcome::kExecuted) continue;
     bool committed = false;
+    uint64_t swapped_at = 0;
     {
       // Directory swap under the mutex with PR 3's epoch validity checks:
       // a target that died between copy and commit is not recorded, and a
@@ -1371,13 +1376,16 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
             }
           }
         }
-        if (committed) InvalidateOwnershipLocked();
+        if (committed) {
+          InvalidateOwnershipLocked();
+          swapped_at = placement_clock_.load();
+        }
       }
     }
     // Uncommitted copies are harmless: the directory never references
     // them, so no query routes there, and the source keeps serving.
     if (!committed) continue;
-    moved.push_back(Moved{id, doc->version});
+    moved.push_back(Moved{id, doc->version, swapped_at});
     bytes += DocBytes(*doc);
   }
   if (!moved.empty()) {
@@ -1387,7 +1395,9 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     // stray-document check re-routes through the directory, which already
     // points at the new home). Version-checked: a concurrent update that
     // landed on the source after our copy is carried to the new home
-    // below, never silently lost.
+    // below, never silently lost. Placement-checked: a copy stored after
+    // the swap (a re-replication pass or an ingest that picked `from`
+    // again, and may already list it as a holder) is left in place.
     std::shared_ptr<Partition> partition = PartitionFor(from);
     auto dirty = std::make_shared<std::vector<model::Document>>();
     const std::vector<Moved> batch = moved;
@@ -1396,8 +1406,14 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
         auto it = partition->docs.find(m.id);
         if (it == partition->docs.end()) continue;
         if (it->second.version != m.version) dirty->push_back(it->second);
+        auto placed = partition->placed.find(m.id);
+        if (placed != partition->placed.end() &&
+            placed->second >= m.swapped_at) {
+          continue;
+        }
         partition->inverted.RemoveDocument(m.id);
         partition->docs.erase(it);
+        if (placed != partition->placed.end()) partition->placed.erase(placed);
       }
     });
     for (const model::Document& newer : *dirty) {

@@ -337,6 +337,10 @@ class SimulatedCluster {
     // swaps in a fresh partition, and a task still running against the old
     // incarnation must keep its (doomed, epoch-checked) object alive.
     std::map<model::DocId, model::Document> docs;
+    // Placement stamp (placement_clock_ at store time) of each doc's copy,
+    // so a migration deletes only the copy it moved, never one a later
+    // re-replication or ingest placed here.
+    std::map<model::DocId, uint64_t> placed;
     index::InvertedIndex inverted;
   };
 
@@ -496,6 +500,7 @@ class SimulatedCluster {
   std::atomic<uint64_t> balancer_passes_{0};
 
   std::atomic<model::DocId> next_id_{1};
+  std::atomic<uint64_t> placement_clock_{0};
   std::atomic<uint64_t> rr_grid_{0};
   std::atomic<uint64_t> rr_cluster_{0};
   std::atomic<uint64_t> lock_acquisitions_{0};

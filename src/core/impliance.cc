@@ -1,6 +1,7 @@
 #include "core/impliance.h"
 
 #include <algorithm>
+#include <span>
 
 #include "cluster/scheduler.h"
 #include "discovery/entity_resolver.h"
@@ -24,18 +25,153 @@ std::string SnippetOf(const std::string& text) {
   return text.substr(0, kSnippetChars) + "...";
 }
 
+// Rows per encoded segment of a kind projection. Rows past the last full
+// segment stay staged unencoded (and unskippable), so this also bounds
+// each projection's raw tail.
+constexpr size_t kProjectionSegmentRows = 4096;
+
+exec::Schema ProjectionSchema(const model::ViewDef& view) {
+  exec::Schema schema;
+  for (const model::ViewColumn& column : view.columns) {
+    schema.AddColumn(column.name);
+  }
+  schema.AddColumn("$doc_id");  // hidden: the SQL view never exposes it
+  return schema;
+}
+
+exec::Row ProjectionRow(const model::ViewDef& view,
+                        const model::Document& doc) {
+  exec::Row row = model::DocumentToRow(view, doc);
+  row.push_back(model::Value::Int(static_cast<int64_t>(doc.id)));
+  return row;
+}
+
+using AvailableSet = std::shared_ptr<const std::set<model::DocId>>;
+
+// Scan of a kind projection; keeps the projection alive while it streams.
+// Under a scale-out availability set the inner stream also carries the
+// hidden doc-id column, and rows whose document the blades cannot serve
+// are dropped before that column is stripped again.
+class ProjectionSource : public exec::BatchSource {
+ public:
+  ProjectionSource(std::shared_ptr<const query::ColumnarTable> projection,
+                   exec::Schema schema, std::vector<int> columns,
+                   std::vector<exec::Predicate> hints, AvailableSet available)
+      : projection_(std::move(projection)),
+        schema_(std::move(schema)),
+        available_(std::move(available)) {
+    exec::Schema inner_schema = schema_;
+    if (available_ != nullptr) {
+      const exec::Schema& full = projection_->schema();
+      columns.push_back(static_cast<int>(full.size()) - 1);
+      inner_schema.AddColumn(full.columns.back());
+    }
+    inner_ = projection_->ScanBatchesImpl(
+        std::move(inner_schema), std::move(columns), std::move(hints));
+  }
+
+  const exec::Schema& schema() const override { return schema_; }
+  bool NextBatch(exec::RowBatch* batch) override {
+    while (inner_->NextBatch(batch)) {
+      if (available_ == nullptr) return true;
+      auto unavailable = [this](const exec::Row& row) {
+        const auto id = static_cast<model::DocId>(row.back().int_value());
+        return available_->count(id) == 0;
+      };
+      std::vector<exec::Row>& rows = batch->rows;
+      rows.erase(std::remove_if(rows.begin(), rows.end(), unavailable),
+                 rows.end());
+      for (exec::Row& row : rows) row.pop_back();
+      if (!rows.empty()) return true;
+    }
+    return false;
+  }
+  uint64_t EstimatedRows() const override { return inner_->EstimatedRows(); }
+  exec::ScanStats stats() const override { return inner_->stats(); }
+
+ private:
+  std::shared_ptr<const query::ColumnarTable> projection_;
+  exec::Schema schema_;
+  AvailableSet available_;
+  exec::BatchSourcePtr inner_;
+};
+
+// Scan of a schema class: member kinds in order, each kind's documents in
+// ascending id order, fetching every document from the store and
+// resolving only the requested attributes.
+class ClassBatchSource : public exec::BatchSource {
+ public:
+  // One member kind and, per requested column, the kind's path for that
+  // attribute ("" when the kind has none, which reads as Null).
+  struct Member {
+    std::string kind;
+    std::vector<std::string> paths;
+  };
+
+  ClassBatchSource(exec::Schema schema, std::vector<Member> members,
+                   const index::PathIndex* paths,
+                   const storage::DocumentStore* store, AvailableSet available)
+      : schema_(std::move(schema)),
+        members_(std::move(members)),
+        paths_(paths),
+        store_(store),
+        available_(std::move(available)) {
+    if (!members_.empty()) docs_ = paths_->KindDocs(members_[0].kind);
+  }
+
+  const exec::Schema& schema() const override { return schema_; }
+  bool NextBatch(exec::RowBatch* batch) override {
+    batch->clear();
+    while (member_ < members_.size() &&
+           batch->size() < exec::kDefaultBatchRows) {
+      if (cursor_ >= docs_.size()) {
+        if (++member_ < members_.size()) {
+          docs_ = paths_->KindDocs(members_[member_].kind);
+        }
+        cursor_ = 0;
+        continue;
+      }
+      const model::DocId id = docs_[cursor_++];
+      if (available_ != nullptr && available_->count(id) == 0) continue;
+      Result<model::Document> doc = store_->Get(id);
+      if (!doc.ok()) continue;
+      exec::Row& row = batch->AppendRow();
+      for (const std::string& path : members_[member_].paths) {
+        const model::Value* value =
+            path.empty() ? nullptr : model::ResolvePath(doc->root, path);
+        row.push_back(value == nullptr ? model::Value::Null() : *value);
+      }
+    }
+    stats_.rows_decoded += batch->size();
+    return !batch->empty();
+  }
+  exec::ScanStats stats() const override { return stats_; }
+
+ private:
+  exec::Schema schema_;
+  std::vector<Member> members_;
+  const index::PathIndex* paths_;
+  const storage::DocumentStore* store_;
+  AvailableSet available_;
+  size_t member_ = 0;
+  std::span<const model::DocId> docs_;
+  size_t cursor_ = 0;
+  exec::ScanStats stats_;
+};
+
 }  // namespace
 
 // ----------------------------------------------------------------- Tables
 
-// SQL view over the documents of one kind. Every leaf path is
-// automatically value-indexed, so HasIndexOn is unconditionally true —
+// SQL view over the documents of one kind. Scans stream the kind's
+// columnar projection; point and range predicates go to the value index,
+// which covers every leaf path, so HasIndexOn is unconditionally true —
 // "Impliance automatically indexes each document by its values as well as
 // its structures" (Section 3.2).
 class Impliance::DocumentTable : public query::Table {
  public:
   DocumentTable(const Impliance* owner, std::string kind, model::ViewDef view,
-                std::shared_ptr<const std::set<model::DocId>> available)
+                AvailableSet available)
       : owner_(owner),
         kind_(std::move(kind)),
         view_(std::move(view)),
@@ -48,14 +184,13 @@ class Impliance::DocumentTable : public query::Table {
   const std::string& table_name() const override { return kind_; }
   const exec::Schema& schema() const override { return schema_; }
 
-  std::vector<exec::Row> ScanAll() const override {
-    std::vector<exec::Row> rows;
-    for (model::DocId id : owner_->paths_.DocsOfKind(kind_)) {
-      if (!Servable(id)) continue;
-      Result<model::Document> doc = owner_->store_->Get(id);
-      if (doc.ok()) rows.push_back(model::DocumentToRow(view_, *doc));
-    }
-    return rows;
+  bool SupportsZoneMapSkipping() const override { return true; }
+
+  // Answered from the whole projection: under an availability set that is
+  // a superset of the servable rows, which statistics can live with.
+  std::optional<query::ColumnSummary> SummarizeColumn(
+      int column) const override {
+    return owner_->ProjectionFor(kind_, view_)->SummarizeColumn(column);
   }
 
   bool HasIndexOn(int column) const override { return true; }
@@ -71,9 +206,7 @@ class Impliance::DocumentTable : public query::Table {
         owner_->values_.Range(view_.columns[column].path, lo, true, hi, true));
   }
 
-  size_t RowCount() const override {
-    return owner_->paths_.DocsOfKind(kind_).size();
-  }
+  size_t RowCount() const override { return owner_->paths_.KindSize(kind_); }
 
   // The store epoch is appliance-wide, so any ingest "moves" every view;
   // the stats cache's row-drift check keeps that from forcing recollection
@@ -83,31 +216,37 @@ class Impliance::DocumentTable : public query::Table {
     return owner_->store_->change_epoch() + 1;
   }
 
+ protected:
+  // The projection's columns share the view's indices, so `columns` and
+  // `hints` pass through unchanged.
+  exec::BatchSourcePtr ScanBatchesImpl(
+      exec::Schema schema, std::vector<int> columns,
+      std::vector<exec::Predicate> hints) const override {
+    return std::make_unique<ProjectionSource>(
+        owner_->ProjectionFor(kind_, view_), std::move(schema),
+        std::move(columns), std::move(hints), available_);
+  }
+
  private:
   std::vector<exec::Row> RowsFor(const std::vector<model::DocId>& ids) const {
-    // Value-index hits may include other kinds sharing the path; restrict.
-    std::vector<model::DocId> of_kind = owner_->paths_.DocsOfKind(kind_);
     std::vector<exec::Row> rows;
     for (model::DocId id : ids) {
-      if (!std::binary_search(of_kind.begin(), of_kind.end(), id)) continue;
-      if (!Servable(id)) continue;
+      // Value-index hits may include other kinds sharing the path.
+      if (!owner_->paths_.KindContains(kind_, id)) continue;
+      // Documents outside the availability set are on unreachable
+      // partitions; the caller reports them as missing rather than serving
+      // them from the local mirror as if the cluster were healthy.
+      if (available_ != nullptr && available_->count(id) == 0) continue;
       Result<model::Document> doc = owner_->store_->Get(id);
       if (doc.ok()) rows.push_back(model::DocumentToRow(view_, *doc));
     }
     return rows;
   }
 
-  // Documents outside the availability set are on unreachable partitions;
-  // the caller reports them as missing rather than serving them from the
-  // local mirror as if the cluster were healthy.
-  bool Servable(model::DocId id) const {
-    return available_ == nullptr || available_->count(id) != 0;
-  }
-
   const Impliance* owner_;
   std::string kind_;
   model::ViewDef view_;
-  std::shared_ptr<const std::set<model::DocId>> available_;
+  AvailableSet available_;
   exec::Schema schema_;
 };
 
@@ -116,7 +255,7 @@ class Impliance::DocumentTable : public query::Table {
 class Impliance::ClassTable : public query::Table {
  public:
   ClassTable(const Impliance* owner, discovery::SchemaClass schema_class,
-             std::shared_ptr<const std::set<model::DocId>> available)
+             AvailableSet available)
       : owner_(owner),
         class_(std::move(schema_class)),
         available_(std::move(available)) {
@@ -125,33 +264,6 @@ class Impliance::ClassTable : public query::Table {
 
   const std::string& table_name() const override { return class_.name; }
   const exec::Schema& schema() const override { return schema_; }
-
-  std::vector<exec::Row> ScanAll() const override {
-    std::vector<exec::Row> rows;
-    for (const std::string& kind : class_.kinds) {
-      const auto& mapping = class_.path_mapping.at(kind);
-      // attribute -> path for this kind.
-      std::map<std::string, std::string> attr_to_path;
-      for (const auto& [path, attr] : mapping) attr_to_path[attr] = path;
-      for (model::DocId id : owner_->paths_.DocsOfKind(kind)) {
-        if (available_ != nullptr && available_->count(id) == 0) continue;
-        Result<model::Document> doc = owner_->store_->Get(id);
-        if (!doc.ok()) continue;
-        exec::Row row;
-        row.reserve(schema_.size());
-        for (const std::string& attr : class_.attributes) {
-          auto it = attr_to_path.find(attr);
-          const model::Value* value =
-              it == attr_to_path.end()
-                  ? nullptr
-                  : model::ResolvePath(doc->root, it->second);
-          row.push_back(value == nullptr ? model::Value::Null() : *value);
-        }
-        rows.push_back(std::move(row));
-      }
-    }
-    return rows;
-  }
 
   bool HasIndexOn(int column) const override { return false; }
   std::vector<exec::Row> IndexLookup(int, const model::Value&) const override {
@@ -164,7 +276,7 @@ class Impliance::ClassTable : public query::Table {
   size_t RowCount() const override {
     size_t count = 0;
     for (const std::string& kind : class_.kinds) {
-      count += owner_->paths_.DocsOfKind(kind).size();
+      count += owner_->paths_.KindSize(kind);
     }
     return count;
   }
@@ -172,10 +284,33 @@ class Impliance::ClassTable : public query::Table {
     return owner_->store_->change_epoch() + 1;
   }
 
+ protected:
+  exec::BatchSourcePtr ScanBatchesImpl(
+      exec::Schema schema, std::vector<int> columns,
+      std::vector<exec::Predicate> hints) const override {
+    std::vector<ClassBatchSource::Member> members;
+    for (const std::string& kind : class_.kinds) {
+      // attribute -> path for this kind.
+      std::map<std::string, std::string> attr_to_path;
+      for (const auto& [path, attr] : class_.path_mapping.at(kind)) {
+        attr_to_path[attr] = path;
+      }
+      ClassBatchSource::Member member{kind, {}};
+      for (int column : columns) {
+        auto it = attr_to_path.find(class_.attributes[column]);
+        member.paths.push_back(it == attr_to_path.end() ? "" : it->second);
+      }
+      members.push_back(std::move(member));
+    }
+    return std::make_unique<ClassBatchSource>(
+        std::move(schema), std::move(members), &owner_->paths_,
+        owner_->store_.get(), available_);
+  }
+
  private:
   const Impliance* owner_;
   discovery::SchemaClass class_;
-  std::shared_ptr<const std::set<model::DocId>> available_;
+  AvailableSet available_;
   exec::Schema schema_;
 };
 
@@ -294,7 +429,21 @@ Status Impliance::IndexDocumentLocked(const model::Document& doc) {
   for (const model::DocRef& ref : doc.refs) {
     joins_.AddEdge(doc.id, ref.target, ref.relation);
   }
+  std::lock_guard<std::mutex> views_lock(views_mutex_);
   dirty_kinds_.insert(doc.kind);
+  // Ingest extends a built projection in place. Ids come from the store in
+  // ascending order, so the row lands where a rebuild would put it; any
+  // other id (a re-kinded Update) drops the projection for a rebuild.
+  auto projection = projections_.find(doc.kind);
+  if (projection != projections_.end()) {
+    KindProjection& kind_projection = projection->second;
+    if (doc.id > kind_projection.last_id) {
+      kind_projection.table->AddRow(ProjectionRow(kind_projection.view, doc));
+      kind_projection.last_id = doc.id;
+    } else {
+      projections_.erase(projection);
+    }
+  }
   return Status::OK();
 }
 
@@ -303,7 +452,11 @@ Status Impliance::DeindexDocumentLocked(const model::Document& doc) {
   paths_.RemoveDocument(doc);
   values_.RemoveDocument(doc);
   facets_.RemoveDocument(doc);
+  std::lock_guard<std::mutex> views_lock(views_mutex_);
   dirty_kinds_.insert(doc.kind);
+  // A removed row would need a tombstone; rebuilding on the next scan is
+  // simpler and Updates are rare next to scans.
+  projections_.erase(doc.kind);
   return Status::OK();
 }
 
@@ -453,6 +606,7 @@ query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query
     // aggregates to what the blades can actually serve and report the
     // unreachable remainder, instead of answering from ghosts.
     cluster::ShipStats ship;
+    obs::ScopedSpan availability_span("core.availability");
     restricted.restrict_to = scale_out_->AvailableDocs(&ship);
     if (health != nullptr) {
       health->degraded = ship.degraded;
@@ -497,6 +651,7 @@ std::vector<SearchHit> Impliance::SearchField(const std::string& path,
 }
 
 model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
+  std::lock_guard<std::mutex> views_lock(views_mutex_);
   auto cached = view_cache_.find(kind);
   if (cached != view_cache_.end() && !dirty_kinds_.count(kind)) {
     return cached->second;
@@ -504,7 +659,7 @@ model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
   // Infer from up to 32 sample documents of the kind.
   std::vector<model::Document> sample_docs;
   std::vector<const model::Document*> sample;
-  for (model::DocId id : paths_.DocsOfKind(kind)) {
+  for (model::DocId id : paths_.KindDocs(kind)) {
     Result<model::Document> doc = store_->Get(id);
     if (doc.ok()) sample_docs.push_back(std::move(doc).value());
     if (sample_docs.size() >= 32) break;
@@ -514,6 +669,33 @@ model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
   view_cache_[kind] = view;
   dirty_kinds_.erase(kind);
   return view;
+}
+
+std::shared_ptr<const query::ColumnarTable> Impliance::ProjectionFor(
+    const std::string& kind, const model::ViewDef& view) const {
+  std::lock_guard<std::mutex> views_lock(views_mutex_);
+  // A projection laid out under another view (the kind's re-inferred view
+  // gained or lost a column) has the wrong columns: rebuild it.
+  auto it = projections_.find(kind);
+  if (it != projections_.end() && it->second.view == view) {
+    return it->second.table;
+  }
+  // One pass over the kind's documents in ascending id order. Built under
+  // views_mutex_, so concurrent first scans of a kind build it once.
+  obs::ScopedSpan project_span("core.project");
+  KindProjection projection;
+  projection.view = view;
+  projection.table = std::make_shared<query::ColumnarTable>(
+      kind, ProjectionSchema(view), kProjectionSegmentRows);
+  for (model::DocId id : paths_.KindDocs(kind)) {
+    Result<model::Document> doc = store_->Get(id);
+    if (!doc.ok()) continue;
+    projection.table->AddRow(ProjectionRow(view, *doc));
+    projection.last_id = id;
+  }
+  std::shared_ptr<const query::ColumnarTable> table = projection.table;
+  projections_[kind] = std::move(projection);
+  return table;
 }
 
 query::Catalog Impliance::BuildCatalogLocked(
@@ -600,6 +782,7 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
   std::shared_ptr<const std::set<model::DocId>> available;
   if (scale_out_ != nullptr) {
     cluster::ShipStats ship;
+    obs::ScopedSpan availability_span("core.availability");
     available = scale_out_->AvailableDocs(&ship);
     if (health != nullptr) {
       health->degraded = ship.degraded;
@@ -847,8 +1030,9 @@ std::vector<std::string> Impliance::Kinds() const {
 
 Result<model::ViewDef> Impliance::ViewFor(const std::string& kind) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<model::DocId> docs = paths_.DocsOfKind(kind);
-  if (docs.empty()) return Status::NotFound("no documents of kind " + kind);
+  if (paths_.KindSize(kind) == 0) {
+    return Status::NotFound("no documents of kind " + kind);
+  }
   return ViewForLocked(kind);
 }
 

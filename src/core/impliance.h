@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -26,6 +27,7 @@
 #include "query/faceted.h"
 #include "query/graph_query.h"
 #include "core/security.h"
+#include "query/columnar_table.h"
 #include "query/opt/stats_cache.h"
 #include "query/planner.h"
 #include "storage/document_store.h"
@@ -256,10 +258,23 @@ class Impliance {
 
   explicit Impliance(ImplianceOptions options);
 
+  // A kind's inferred view laid out column-wise: the view's columns plus a
+  // hidden trailing doc-id column, one row per document in ascending id
+  // order — exactly the rows a document-by-document scan would produce.
+  struct KindProjection {
+    model::ViewDef view;
+    std::shared_ptr<query::ColumnarTable> table;
+    model::DocId last_id = model::kInvalidDocId;
+  };
+
   Status IndexDocumentLocked(const model::Document& doc);
   Status DeindexDocumentLocked(const model::Document& doc);
   Result<model::DocId> InfuseLocked(model::Document doc);
   model::ViewDef ViewForLocked(const std::string& kind) const;
+  // The projection of `kind` under `view` (the kind's current view),
+  // built on first use. Caller holds mutex_ (shared suffices).
+  std::shared_ptr<const query::ColumnarTable> ProjectionFor(
+      const std::string& kind, const model::ViewDef& view) const;
   // `available` (optional) restricts every table to that document set —
   // the scale-out tier's availability scan under partial failure.
   query::Catalog BuildCatalogLocked(
@@ -290,8 +305,14 @@ class Impliance {
   // Entity-resolution merges already recorded (doc pairs).
   std::set<std::pair<model::DocId, model::DocId>> merged_entities_;
 
+  // Per-kind SQL state. Queries fill it lazily under the shared mutex_,
+  // so it has a lock of its own; ingest appends to projections (and
+  // Update drops them) under the exclusive mutex_, so a scan never sees
+  // its projection change underneath it. Lock order: mutex_, then this.
+  mutable std::mutex views_mutex_;
   mutable std::map<std::string, model::ViewDef> view_cache_;
   mutable std::set<std::string> dirty_kinds_;
+  mutable std::map<std::string, KindProjection> projections_;
 
   mutable AccessController access_;
   mutable AuditLog audit_;

@@ -4,33 +4,6 @@
 
 namespace impliance::exec {
 
-VectorBatchSource::VectorBatchSource(Schema schema, std::vector<Row> rows,
-                                     std::vector<int> columns,
-                                     size_t batch_rows)
-    : schema_(std::move(schema)),
-      rows_(std::move(rows)),
-      columns_(std::move(columns)),
-      batch_rows_(batch_rows == 0 ? kDefaultBatchRows : batch_rows) {}
-
-bool VectorBatchSource::NextBatch(RowBatch* batch) {
-  batch->clear();
-  if (cursor_ >= rows_.size()) return false;
-  const size_t end = std::min(rows_.size(), cursor_ + batch_rows_);
-  batch->reserve(end - cursor_);
-  for (; cursor_ < end; ++cursor_) {
-    Row& row = rows_[cursor_];
-    if (columns_.empty()) {
-      batch->push_back(std::move(row));
-    } else {
-      Row& out = batch->AppendRow();
-      out.reserve(columns_.size());
-      for (int column : columns_) out.push_back(std::move(row[column]));
-    }
-  }
-  stats_.rows_decoded += batch->size();
-  return true;
-}
-
 BorrowedBatchSource::BorrowedBatchSource(Schema schema,
                                          const std::vector<Row>* rows,
                                          std::vector<int> columns,

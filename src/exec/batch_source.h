@@ -53,33 +53,10 @@ class BatchSource {
 
 using BatchSourcePtr = std::unique_ptr<BatchSource>;
 
-// Adapter over an already-materialized row vector: prunes each row to
-// `columns` (full-schema indices, in output order) while batching. The
-// default Table::ScanBatches wraps row/document backends with it.
-class VectorBatchSource : public BatchSource {
- public:
-  // `columns` empty means "all columns, in schema order, no pruning".
-  VectorBatchSource(Schema schema, std::vector<Row> rows,
-                    std::vector<int> columns,
-                    size_t batch_rows = kDefaultBatchRows);
-
-  const Schema& schema() const override { return schema_; }
-  bool NextBatch(RowBatch* batch) override;
-  uint64_t EstimatedRows() const override { return rows_.size(); }
-  ScanStats stats() const override { return stats_; }
-
- private:
-  Schema schema_;
-  std::vector<Row> rows_;
-  std::vector<int> columns_;  // empty = identity
-  size_t batch_rows_;
-  size_t cursor_ = 0;
-  ScanStats stats_;
-};
-
-// Zero-copy variant over a row vector owned by someone who outlives the
-// scan (MemTable's backing store): values are copied into batches, but the
-// base vector itself is never duplicated.
+// Adapter over a row vector owned by someone who outlives the scan
+// (MemTable's backing store): prunes each row to `columns` (full-schema
+// indices, in output order; empty = all columns) while batching. Values are
+// copied into batches, but the base vector itself is never duplicated.
 class BorrowedBatchSource : public BatchSource {
  public:
   BorrowedBatchSource(Schema schema, const std::vector<Row>* rows,

@@ -56,6 +56,17 @@ std::vector<model::DocId> PathIndex::DocsOfKind(std::string_view kind) const {
   return it == kind_docs_.end() ? std::vector<model::DocId>{} : it->second;
 }
 
+std::span<const model::DocId> PathIndex::KindDocs(std::string_view kind) const {
+  auto it = kind_docs_.find(kind);
+  if (it == kind_docs_.end()) return {};
+  return it->second;
+}
+
+bool PathIndex::KindContains(std::string_view kind, model::DocId id) const {
+  std::span<const model::DocId> docs = KindDocs(kind);
+  return std::binary_search(docs.begin(), docs.end(), id);
+}
+
 std::vector<std::string> PathIndex::PathsOfKind(std::string_view kind) const {
   auto it = kind_paths_.find(kind);
   if (it == kind_paths_.end()) return {};

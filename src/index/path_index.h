@@ -2,6 +2,7 @@
 #define IMPLIANCE_INDEX_PATH_INDEX_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,14 @@ class PathIndex {
 
   // Documents of the given kind, ascending.
   std::vector<model::DocId> DocsOfKind(std::string_view kind) const;
+
+  // Non-copying views of the same list, for per-query hot paths. The span
+  // is invalidated by the next Add/RemoveDocument.
+  std::span<const model::DocId> KindDocs(std::string_view kind) const;
+  size_t KindSize(std::string_view kind) const {
+    return KindDocs(kind).size();
+  }
+  bool KindContains(std::string_view kind, model::DocId id) const;
 
   // Distinct paths under documents of `kind` (union over documents).
   std::vector<std::string> PathsOfKind(std::string_view kind) const;

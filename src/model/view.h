@@ -19,6 +19,8 @@ using Row = std::vector<Value>;
 struct ViewColumn {
   std::string name;
   std::string path;  // e.g. "/doc/customer_id"
+
+  bool operator==(const ViewColumn&) const = default;
 };
 
 struct ViewDef {
@@ -28,6 +30,8 @@ struct ViewDef {
 
   // Index of a column by name, or -1.
   int ColumnIndex(std::string_view column_name) const;
+
+  bool operator==(const ViewDef&) const = default;
 };
 
 // Projects `doc` through the view. Missing paths become Null so that

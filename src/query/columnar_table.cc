@@ -21,11 +21,6 @@ void ColumnarTable::AddRow(exec::Row row) {
   ++version_;
 }
 
-std::vector<exec::Row> ColumnarTable::ScanAll() const {
-  exec::BatchSourcePtr source = ScanBatches({});
-  return exec::DrainBatchSource(source.get());
-}
-
 std::optional<ColumnSummary> ColumnarTable::SummarizeColumn(int column) const {
   if (column < 0 || static_cast<size_t>(column) >= schema_.size()) {
     return std::nullopt;

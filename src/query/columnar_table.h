@@ -27,7 +27,6 @@ class ColumnarTable : public Table {
 
   const std::string& table_name() const override { return name_; }
   const exec::Schema& schema() const override { return schema_; }
-  std::vector<exec::Row> ScanAll() const override;
   bool SupportsZoneMapSkipping() const override { return true; }
   std::optional<ColumnSummary> SummarizeColumn(int column) const override;
   bool HasIndexOn(int column) const override { return false; }
@@ -47,7 +46,8 @@ class ColumnarTable : public Table {
     return *segments_[i];
   }
 
- protected:
+  // Public so a table layered over this one (the appliance's per-kind
+  // projection) can stream it inside its own metered scan.
   exec::BatchSourcePtr ScanBatchesImpl(
       exec::Schema schema, std::vector<int> columns,
       std::vector<exec::Predicate> hints) const override;

@@ -82,27 +82,6 @@ exec::BatchSourcePtr Table::ScanBatches(
       std::move(projected), std::move(columns), std::move(hints)));
 }
 
-exec::BatchSourcePtr Table::ScanBatchesImpl(
-    exec::Schema schema, std::vector<int> columns,
-    std::vector<exec::Predicate> hints) const {
-  // Materialized adapter: zone maps don't exist here, so hints are unused
-  // (callers re-apply predicates regardless).
-  (void)hints;
-  bool identity = columns.size() == this->schema().size();
-  for (size_t i = 0; identity && i < columns.size(); ++i) {
-    identity = columns[i] == static_cast<int>(i);
-  }
-  return std::make_unique<exec::VectorBatchSource>(
-      std::move(schema), ScanAll(),
-      identity ? std::vector<int>{} : std::move(columns));
-}
-
-std::vector<exec::Row> Table::ScanColumns(
-    const std::vector<int>& columns) const {
-  exec::BatchSourcePtr source = ScanBatches(columns);
-  return exec::DrainBatchSource(source.get());
-}
-
 MemTable::MemTable(std::string name, exec::Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {}
 

@@ -36,17 +36,7 @@ class Table {
   virtual const std::string& table_name() const = 0;
   virtual const exec::Schema& schema() const = 0;
 
-  // Full scan, materialized.
-  virtual std::vector<exec::Row> ScanAll() const = 0;
-
-  // Projection-pushdown scan: rows carrying only `columns` (schema
-  // indices), in that order. The default materializes full rows and prunes;
-  // backends override it when fetching fewer columns is genuinely cheaper
-  // (a document view resolves one path per requested column).
-  virtual std::vector<exec::Row> ScanColumns(
-      const std::vector<int>& columns) const;
-
-  // Batch-native scan: a pull stream of RowBatch chunks carrying exactly
+  // The one scan path: a pull stream of RowBatch chunks carrying exactly
   // `columns` (schema indices, in that order; empty = all columns in schema
   // order). `hints` are predicates over FULL-schema indices a backend may
   // use to skip storage blocks whose zone maps refute them — hints only
@@ -91,11 +81,10 @@ class Table {
  protected:
   // Backend hook behind ScanBatches. `columns` is already normalized
   // (never empty; explicit schema indices) and `schema` is the projected
-  // schema over them. The default materializes ScanAll and prunes while
-  // batching; backends override when they can stream or skip.
+  // schema over them. Every backend streams its own storage.
   virtual exec::BatchSourcePtr ScanBatchesImpl(
       exec::Schema schema, std::vector<int> columns,
-      std::vector<exec::Predicate> hints) const;
+      std::vector<exec::Predicate> hints) const = 0;
 };
 
 // Vector-backed table with optional per-column hash + ordered indexes.
@@ -109,7 +98,6 @@ class MemTable : public Table {
 
   const std::string& table_name() const override { return name_; }
   const exec::Schema& schema() const override { return schema_; }
-  std::vector<exec::Row> ScanAll() const override { return rows_; }
   bool HasIndexOn(int column) const override {
     return indexes_.count(column) > 0;
   }
@@ -121,7 +109,7 @@ class MemTable : public Table {
   uint64_t DataVersion() const override { return version_; }
 
  protected:
-  // Streams straight off rows_ (no vector copy, unlike ScanAll).
+  // Streams straight off rows_ (no vector copy).
   exec::BatchSourcePtr ScanBatchesImpl(
       exec::Schema schema, std::vector<int> columns,
       std::vector<exec::Predicate> hints) const override;

@@ -95,8 +95,8 @@ void ImplianceServer::AcceptLoop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // Listener closed during drain (or a transient accept failure while
-      // shutting down) — either way the loop is done.
+      // Listener shut down during drain (or a transient accept failure
+      // while shutting down) — either way the loop is done.
       break;
     }
     if (draining_.load(std::memory_order_acquire)) {
@@ -527,14 +527,16 @@ void ImplianceServer::Shutdown() {
   }
 
   // 1. Stop accepting: new requests on existing connections now get
-  //    kShuttingDown; closing the listener wakes the accept loop.
+  //    kShuttingDown; shutting the listener down wakes the accept loop.
+  //    The fd is closed and reset only once that loop has exited, so the
+  //    accept thread never reads it concurrently with the write.
   draining_.store(true, std::memory_order_release);
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Finish everything already admitted — in-flight requests complete
   //    and their responses are written before any connection closes.

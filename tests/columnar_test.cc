@@ -268,7 +268,8 @@ TEST(ColumnarScanTest, TailShorterThanSegmentScansCorrectly) {
   query::ColumnarTable table = MakeClustered(100, 1024, 128);
   EXPECT_EQ(table.num_segments(), 0u);
   EXPECT_EQ(table.staged_rows(), 100u);
-  std::vector<exec::Row> rows = table.ScanAll();
+  exec::BatchSourcePtr source = table.ScanBatches({});
+  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
   ASSERT_EQ(rows.size(), 100u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0].int_value(), static_cast<int64_t>(i));
@@ -277,7 +278,6 @@ TEST(ColumnarScanTest, TailShorterThanSegmentScansCorrectly) {
 
 TEST(ColumnarScanTest, EmptyTableScansEmpty) {
   query::ColumnarTable table("empty", exec::Schema{{"x"}});
-  EXPECT_TRUE(table.ScanAll().empty());
   exec::BatchSourcePtr source = table.ScanBatches({0});
   exec::RowBatch batch;
   EXPECT_FALSE(source->NextBatch(&batch));

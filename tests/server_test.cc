@@ -519,6 +519,30 @@ TEST_F(ServerTest, GracefulDrainCompletesInFlightRequests) {
   EXPECT_FALSE(ImplianceClient::Connect(refused).ok());
 }
 
+// Start/Shutdown back to back, with and without a connection in flight:
+// the drain wakes the accept thread before releasing the listening socket,
+// so it never races the accept loop's read of it (TSan) and never hangs.
+TEST_F(ServerTest, RepeatedStartAndShutdown) {
+  ServerOptions options;
+  options.quiesce_core_on_drain = false;  // the core outlives every round
+  for (int round = 0; round < 20; ++round) {
+    StartServer(options);
+    if (round % 2 == 1) {
+      auto client = Client();
+      ASSERT_NE(client, nullptr);
+      auto reply = client->Call(wire::Request{});
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply->status, wire::WireStatus::kOk);
+    }
+    server_->Shutdown();
+    ClientOptions refused;
+    refused.port = server_->port();
+    refused.connect_attempts = 1;
+    EXPECT_FALSE(ImplianceClient::Connect(refused).ok()) << round;
+    server_.reset();
+  }
+}
+
 TEST_F(ServerTest, RemoteShutdownOpDrainsServer) {
   StartServer();
   auto client = Client();
