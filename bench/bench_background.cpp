@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "discovery/pattern_annotator.h"
 #include "index/inverted_index.h"
@@ -104,7 +103,7 @@ int main() {
   }
 
   // Unloaded reference: interactive latency with no background work.
-  Histogram unloaded;
+  bench::Samples unloaded;
   for (int q = 0; q < kInteractiveQueries; ++q) {
     Stopwatch watch;
     idx.Search("report client example", 10);

@@ -13,7 +13,6 @@
 #include "bench_util.h"
 #include "common/clock.h"
 #include "common/compression.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "storage/document_store.h"
 #include "workload/corpus.h"
@@ -131,7 +130,7 @@ int main() {
       IMPLIANCE_CHECK_OK(store->Flush());
       const double flush_ms = flush_watch.ElapsedMillis();
 
-      Histogram read_us;
+      bench::Samples read_us;
       Rng rng(9);
       for (int probe = 0; probe < 200; ++probe) {
         const model::DocId id = 1 + rng.Uniform(count);

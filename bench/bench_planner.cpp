@@ -26,7 +26,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "query/opt/optimizer.h"
 #include "query/opt/stats_cache.h"
@@ -117,7 +116,7 @@ WorkloadResult RunWorkload(const std::string& name,
                            CostAwarePlanner* optimized) {
   WorkloadResult result;
   result.name = name;
-  Histogram simple_ms, optimized_ms;
+  bench::Samples simple_ms, optimized_ms;
   for (const std::string& sql : queries) {
     std::vector<std::string> baseline;
     for (int repeat = 0; repeat < kRepeats; ++repeat) {

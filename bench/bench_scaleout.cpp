@@ -20,7 +20,6 @@
 #include "bench_util.h"
 #include "cluster/cluster.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "model/document.h"
 
@@ -87,7 +86,7 @@ int main() {
     FillCluster(&sim, 7);
     SimulatedCluster::AggQuery query = HeavyQuery();
 
-    Histogram agg_cp, search_cp;
+    bench::Samples agg_cp, search_cp;
     for (int q = 0; q < kQueries; ++q) {
       SimulatedCluster::AggResult result =
           sim.FilterAggregate(query, /*pushdown=*/true);
@@ -119,7 +118,7 @@ int main() {
     FillCluster(&sim, 7);
     SimulatedCluster::AggQuery query = HeavyQuery();
 
-    Histogram grid_ms;
+    bench::Samples grid_ms;
     for (int q = 0; q < kQueries; ++q) {
       SimulatedCluster::AggResult result =
           sim.FilterAggregate(query, /*pushdown=*/false);

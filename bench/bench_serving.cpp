@@ -17,15 +17,15 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "core/impliance.h"
 #include "server/client.h"
 #include "server/server.h"
 
 namespace fs = std::filesystem;
-using impliance::Histogram;
 using impliance::Stopwatch;
+using impliance::bench::Samples;
 using impliance::core::Impliance;
 using impliance::server::ClientOptions;
 using impliance::server::ImplianceClient;
@@ -36,7 +36,7 @@ using impliance::server::ServingStats;
 namespace {
 
 struct MixResult {
-  Histogram latency_ms;
+  Samples latency_ms;
   size_t ok = 0;
   size_t shed = 0;
   size_t errors = 0;

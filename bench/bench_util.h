@@ -1,7 +1,10 @@
 #ifndef IMPLIANCE_BENCH_BENCH_UTIL_H_
 #define IMPLIANCE_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -41,6 +44,44 @@ class TablePrinter {
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+// Exact samples with nearest-rank percentiles for experiment reports:
+// benches record few enough values to keep every one.
+class Samples {
+ public:
+  void Add(double value) { values_.push_back(value); }
+  // Absorbs every sample of `other` (per-thread recordings into one).
+  void Merge(const Samples& other) {
+    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  }
+
+  size_t count() const { return values_.size(); }
+  double Mean() const {
+    if (values_.empty()) return 0.0;
+    return std::accumulate(values_.begin(), values_.end(), 0.0) /
+           static_cast<double>(values_.size());
+  }
+  double Max() const {
+    return values_.empty() ? 0.0
+                           : *std::max_element(values_.begin(), values_.end());
+  }
+  // p in [0, 100].
+  double Percentile(double p) const {
+    if (values_.empty()) return 0.0;
+    const size_t rank = static_cast<size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(values_.size())));
+    const size_t index = std::min(rank == 0 ? 0 : rank - 1, values_.size() - 1);
+    std::vector<double> sorted = values_;
+    std::nth_element(sorted.begin(), sorted.begin() + index, sorted.end());
+    return sorted[index];
+  }
+  double P50() const { return Percentile(50); }
+  double P95() const { return Percentile(95); }
+  double P99() const { return Percentile(99); }
+
+ private:
+  std::vector<double> values_;
 };
 
 inline std::string Fmt(const char* format, double value) {

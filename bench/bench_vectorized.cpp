@@ -114,25 +114,10 @@ exec::OperatorPtr FilterProjectPipeline(
       std::vector<std::string>{"id", "score"});
 }
 
-// Row-at-a-time baseline for the filter-project pipeline: 1-row batches
-// driven through the legacy Next(Row*) adapter — one virtual call and one
-// row move per row, the pre-batching Volcano cost model. Single repeat;
-// callers interleave repeats with the batched variant so host-load drift
-// hits both timings equally.
-double TimeRowAtATimeOnce(const Schema* schema,
-                          std::shared_ptr<const std::vector<Row>> rows) {
-  exec::OperatorPtr pipeline = FilterProjectPipeline(schema, rows, 1);
-  std::vector<Row> out;
-  Stopwatch timer;
-  pipeline->Open();
-  Row row;
-  while (pipeline->Next(&row)) out.push_back(std::move(row));
-  pipeline->Close();
-  const double secs = timer.ElapsedSeconds();
-  if (out.empty()) std::printf("(unexpected empty result)\n");
-  return secs;
-}
-
+// One timed run of the filter-project pipeline. batch_rows=1 is the
+// row-at-a-time baseline: one virtual call and one row hand-off per row,
+// the pre-batching Volcano cost model. Single repeat; callers interleave
+// repeats of the variants they compare so host-load drift hits them all.
 double TimeBatchedOnce(const Schema* schema,
                        std::shared_ptr<const std::vector<Row>> rows,
                        size_t batch_rows) {
@@ -233,7 +218,7 @@ int main(int argc, char** argv) {
     // cancels host-load drift and heap-state carryover between variants.
     for (int r = 0; r < 2 * kRepeats; ++r) {
       if (r % 2 == 0) {
-        row_time = std::min(row_time, TimeRowAtATimeOnce(&fact_schema, fact));
+        row_time = std::min(row_time, TimeBatchedOnce(&fact_schema, fact, 1));
         batch_time = std::min(
             batch_time,
             TimeBatchedOnce(&fact_schema, fact, exec::kDefaultBatchRows));
@@ -241,11 +226,11 @@ int main(int argc, char** argv) {
         batch_time = std::min(
             batch_time,
             TimeBatchedOnce(&fact_schema, fact, exec::kDefaultBatchRows));
-        row_time = std::min(row_time, TimeRowAtATimeOnce(&fact_schema, fact));
+        row_time = std::min(row_time, TimeBatchedOnce(&fact_schema, fact, 1));
       }
     }
     bench::TablePrinter table_out({"engine", "rows/s", "speedup"});
-    table_out.AddRow({"row-at-a-time (batch=1 + Next adapter)",
+    table_out.AddRow({"row-at-a-time (1-row batches)",
                       Fmt("%.2e", kRows / row_time), "1.00x"});
     table_out.AddRow({"batched (1024-row RowBatch)",
                       Fmt("%.2e", kRows / batch_time),

@@ -44,7 +44,6 @@ class RelationalBaseline {
   }
 
   size_t admin_steps() const { return admin_steps_; }
-  size_t num_tables() const { return tables_.size(); }
 
  private:
   query::Catalog catalog_;

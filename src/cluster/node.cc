@@ -2,34 +2,9 @@
 
 #include <chrono>
 
-#include "common/clock.h"
 #include "common/fault_injector.h"
 
 namespace impliance::cluster {
-
-const char* NodeKindName(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kData:
-      return "data";
-    case NodeKind::kGrid:
-      return "grid";
-    case NodeKind::kCluster:
-      return "cluster";
-  }
-  return "?";
-}
-
-const char* TaskOutcomeName(TaskOutcome outcome) {
-  switch (outcome) {
-    case TaskOutcome::kExecuted:
-      return "executed";
-    case TaskOutcome::kDropped:
-      return "dropped";
-    case TaskOutcome::kNodeDead:
-      return "node-dead";
-  }
-  return "?";
-}
 
 Node::Node(NodeId id, NodeKind kind)
     : id_(id), kind_(kind), worker_([this] { WorkerLoop(); }) {}
@@ -127,9 +102,7 @@ void Node::WorkerLoop() {
         std::this_thread::sleep_for(std::chrono::microseconds(micros));
       }
     }
-    const uint64_t start = NowMicros();
     task.fn();
-    busy_micros_.fetch_add(NowMicros() - start);
     tasks_executed_.fetch_add(1);
     task.done.set_value(TaskOutcome::kExecuted);
   }

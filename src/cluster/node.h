@@ -22,8 +22,6 @@ enum class NodeKind {
   kCluster,  // consistent locking/coordination
 };
 
-const char* NodeKindName(NodeKind kind);
-
 // The definitive fate of one submitted task. A bool cannot express the
 // difference between "ran" and "was accepted, then lost with the node" —
 // that gap is exactly the silent-partial-result and lost-ack bug class, so
@@ -33,8 +31,6 @@ enum class TaskOutcome : uint8_t {
   kDropped,   // accepted, then lost before running (node died / fault)
   kNodeDead,  // rejected outright: the node was already dead
 };
-
-const char* TaskOutcomeName(TaskOutcome outcome);
 
 // One simulated node: a worker thread draining a FIFO mailbox of closures.
 // This stands in for a blade server; the closures it runs are the operator
@@ -84,7 +80,6 @@ class Node {
   uint64_t tasks_dropped() const { return tasks_dropped_.load(); }
   // Tasks currently waiting in the mailbox (scheduler load signal).
   size_t queue_depth() const;
-  uint64_t busy_micros() const { return busy_micros_.load(); }
   // Logical heartbeat counter, bumped every mailbox iteration.
   uint64_t heartbeats() const { return heartbeats_.load(); }
 
@@ -106,7 +101,6 @@ class Node {
   std::atomic<bool> shutting_down_{false};
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> tasks_dropped_{0};
-  std::atomic<uint64_t> busy_micros_{0};
   std::atomic<uint64_t> heartbeats_{0};
 
   std::mutex mutex_;

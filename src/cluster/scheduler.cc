@@ -10,7 +10,7 @@ Scheduler::Decision Scheduler::Place(OperatorClass op,
       decision.kind = NodeKind::kData;
       decision.pushdown = true;
       // Overloaded storage: fall back to shipping raw data to the grid.
-      if (load.data_queue_depth > load.grid_queue_depth + options_.busy_margin) {
+      if (load.data_queue_depth > load.grid_queue_depth + kBusyMargin) {
         decision.kind = NodeKind::kGrid;
         decision.pushdown = false;
       }
@@ -31,9 +31,9 @@ size_t Scheduler::ChooseDop(size_t max_workers,
                             const LoadSnapshot& load) const {
   if (max_workers <= 1) return 1;
   // Each unit of mean grid queue depth is one worker's worth of pending
-  // work; give it back. busy_margin tasks of slack are free (same tolerance
+  // work; give it back. kBusyMargin tasks of slack are free (same tolerance
   // Place() grants the data nodes).
-  double loaded = load.grid_queue_depth - options_.busy_margin;
+  double loaded = load.grid_queue_depth - kBusyMargin;
   if (loaded < 0) loaded = 0;
   const double free_workers = static_cast<double>(max_workers) - loaded;
   if (free_workers <= 1.0) return 1;

@@ -40,14 +40,9 @@ class Scheduler {
     bool pushdown = true;  // meaningful for kScanFilter only
   };
 
-  struct Options {
-    // Data nodes count as "too busy" when their mean queue exceeds the
-    // grid's by this many tasks.
-    double busy_margin = 2.0;
-  };
-
-  Scheduler() : options_(Options()) {}
-  explicit Scheduler(const Options& options) : options_(options) {}
+  // Data nodes count as "too busy" when their mean queue exceeds the
+  // grid's by this many tasks.
+  static constexpr double kBusyMargin = 2.0;
 
   Decision Place(OperatorClass op, const LoadSnapshot& load) const;
 
@@ -87,9 +82,6 @@ class Scheduler {
   // `loads` must cover exactly the alive data nodes.
   MoveChoice PickMove(const std::vector<NodeLoad>& loads,
                       double tolerance) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace impliance::cluster

@@ -1,13 +1,11 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace impliance {
 
 namespace {
-std::atomic<LogLevel> g_log_level{LogLevel::kWarning};
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -25,8 +23,7 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_log_level.store(level); }
-LogLevel GetLogLevel() { return g_log_level.load(); }
+LogLevel GetLogLevel() { return LogLevel::kWarning; }
 
 namespace internal_logging {
 

@@ -9,8 +9,7 @@ namespace impliance {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Minimum level actually emitted; default kWarning so tests/benches run quiet.
-void SetLogLevel(LogLevel level);
+// Minimum level actually emitted: kWarning, so tests/benches run quiet.
 LogLevel GetLogLevel();
 
 namespace internal_logging {

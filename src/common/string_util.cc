@@ -60,16 +60,6 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::vector<std::string> Tokenize(std::string_view text) {
   std::vector<std::string> tokens;
   ForEachToken(text,

@@ -20,9 +20,6 @@ std::string_view TrimWhitespace(std::string_view text);
 
 std::string ToLower(std::string_view text);
 
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-
 // Lowercased alphanumeric tokens, splitting on any other character.
 // This is the tokenizer shared by the full-text indexer and keyword queries
 // so that indexing and search agree on term boundaries.

@@ -46,7 +46,12 @@ exec::Row ProjectionRow(const model::ViewDef& view,
   return row;
 }
 
-using AvailableSet = std::shared_ptr<const std::set<model::DocId>>;
+// Copies a scatter-gather's completeness into the caller's `health`.
+void ReportHealth(const cluster::ShipStats& ship, QueryHealth* health) {
+  if (health == nullptr) return;
+  health->degraded = ship.degraded;
+  health->missing_partitions = ship.missing_partitions;
+}
 
 // Scan of a kind projection; keeps the projection alive while it streams.
 // Under a scale-out availability set the inner stream also carries the
@@ -265,14 +270,6 @@ class Impliance::ClassTable : public query::Table {
   const std::string& table_name() const override { return class_.name; }
   const exec::Schema& schema() const override { return schema_; }
 
-  bool HasIndexOn(int column) const override { return false; }
-  std::vector<exec::Row> IndexLookup(int, const model::Value&) const override {
-    return {};
-  }
-  std::vector<exec::Row> IndexRange(int, const model::Value*,
-                                    const model::Value*) const override {
-    return {};
-  }
   size_t RowCount() const override {
     size_t count = 0;
     for (const std::string& kind : class_.kinds) {
@@ -537,49 +534,20 @@ Result<std::vector<SearchHit>> Impliance::SearchAs(
   if (!access_.HasPrincipal(principal)) {
     return Status::InvalidArgument("unknown principal: " + principal);
   }
-  if (health != nullptr) *health = QueryHealth{};
-  std::vector<SearchHit> hits;
+  // Over-fetch so the permission filter can still return k results.
+  const size_t fetch = k * 4 + 16;
+  std::vector<index::InvertedIndex::SearchResult> results;
+  cluster::ShipStats ship;  // stays empty, i.e. complete, on a single node
   if (scale_out_ != nullptr) {
     // Route through the blade tier's failure-aware scatter-gather; the
     // local store stays authoritative for bodies and access checks.
-    cluster::ShipStats ship;
-    const auto results = scale_out_->KeywordSearch(keywords, k * 4 + 16, &ship);
-    if (health != nullptr) {
-      health->degraded = ship.degraded;
-      health->missing_partitions = ship.missing_partitions;
-    }
-    for (const auto& result : results) {
-      Result<model::Document> doc = store_->Get(result.doc);
-      if (!doc.ok()) continue;
-      if (!access_.CanRead(principal, doc->kind)) continue;
-      SearchHit hit;
-      hit.doc = result.doc;
-      hit.score = result.score;
-      hit.kind = doc->kind;
-      hit.snippet = SnippetOf(doc->Text());
-      hits.push_back(std::move(hit));
-      if (hits.size() >= k) break;
-    }
+    results = scale_out_->KeywordSearch(keywords, fetch, &ship);
   } else {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    // Over-fetch so the permission filter can still return k results.
-    for (const auto& result : text_index_.Search(keywords, k * 4 + 16)) {
-      Result<model::Document> doc = store_->Get(result.doc);
-      if (!doc.ok()) continue;
-      if (!access_.CanRead(principal, doc->kind)) continue;
-      SearchHit hit;
-      hit.doc = result.doc;
-      hit.score = result.score;
-      hit.kind = doc->kind;
-      hit.snippet = SnippetOf(doc->Text());
-      hits.push_back(std::move(hit));
-      if (hits.size() >= k) break;
-    }
+    results = text_index_.Search(keywords, fetch);
   }
-  std::vector<model::DocId> accessed;
-  for (const SearchHit& hit : hits) accessed.push_back(hit.doc);
-  audit_.Record(principal, "keyword", keywords, std::move(accessed));
-  return hits;
+  ReportHealth(ship, health);
+  return HitsFor(principal, "keyword", keywords, results, k);
 }
 
 Result<model::Document> Impliance::GetAs(const std::string& principal,
@@ -599,55 +567,66 @@ Result<model::Document> Impliance::GetAs(const std::string& principal,
 query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query,
                                         QueryHealth* health) const {
   if (health != nullptr) *health = QueryHealth{};
+  // The local indexes cover every document ever mirrored — including
+  // documents whose partitions are down right now. Restrict counts and
+  // aggregates to what the blades can actually serve and report the
+  // unreachable remainder, instead of answering from ghosts.
   query::FacetedQuery restricted = faceted_query;
-  if (scale_out_ != nullptr) {
-    // The local indexes cover every document ever mirrored — including
-    // documents whose partitions are down right now. Restrict counts and
-    // aggregates to what the blades can actually serve and report the
-    // unreachable remainder, instead of answering from ghosts.
-    cluster::ShipStats ship;
-    obs::ScopedSpan availability_span("core.availability");
-    restricted.restrict_to = scale_out_->AvailableDocs(&ship);
-    if (health != nullptr) {
-      health->degraded = ship.degraded;
-      health->missing_partitions = ship.missing_partitions;
-    }
-  }
+  restricted.restrict_to = AvailableDocs(health);
   std::shared_lock<std::shared_mutex> lock(mutex_);
   query::FacetedSearch search(&text_index_.global(), &paths_, &facets_,
                               &values_);
-  // Facet counts / range buckets / aggregates fan out like a SQL segment:
-  // DOP capped by the scheduler's view of free workers.
-  cluster::Scheduler scheduler;
-  cluster::Scheduler::LoadSnapshot load;
-  load.grid_queue_depth = static_cast<double>(execution_->pending_tasks());
-  search.set_parallelism(
-      scheduler.ChooseDop(exec::ParallelExecutor::Shared().num_threads(), load));
+  // Facet counts / range buckets / aggregates fan out like a SQL segment.
+  search.set_parallelism(ChooseDop());
   return search.Run(restricted);
 }
 
 std::vector<SearchHit> Impliance::SearchField(const std::string& path,
                                               const std::string& keywords,
                                               size_t k) const {
-  std::vector<SearchHit> hits;
+  std::vector<index::InvertedIndex::SearchResult> results;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    for (const auto& result : text_index_.SearchField(path, keywords, k)) {
-      Result<model::Document> doc = store_->Get(result.doc);
-      if (!doc.ok()) continue;
-      SearchHit hit;
-      hit.doc = result.doc;
-      hit.score = result.score;
-      hit.kind = doc->kind;
-      hit.snippet = SnippetOf(doc->Text());
-      hits.push_back(std::move(hit));
-    }
+    results = text_index_.SearchField(path, keywords, k);
   }
+  return HitsFor(AccessController::kAdmin, "keyword-field",
+                 path + " : " + keywords, results, k);
+}
+
+std::vector<SearchHit> Impliance::HitsFor(
+    const std::string& principal, const std::string& interface,
+    const std::string& query,
+    const std::vector<index::InvertedIndex::SearchResult>& results,
+    size_t k) const {
+  std::vector<SearchHit> hits;
   std::vector<model::DocId> accessed;
-  for (const SearchHit& hit : hits) accessed.push_back(hit.doc);
-  audit_.Record(AccessController::kAdmin, "keyword-field",
-                path + " : " + keywords, std::move(accessed));
+  for (const auto& result : results) {
+    if (hits.size() >= k) break;
+    Result<model::Document> doc = store_->Get(result.doc);
+    if (!doc.ok()) continue;
+    if (!access_.CanRead(principal, doc->kind)) continue;
+    hits.push_back(SearchHit{result.doc, result.score, doc->kind,
+                             SnippetOf(doc->Text())});
+    accessed.push_back(result.doc);
+  }
+  audit_.Record(principal, interface, query, std::move(accessed));
   return hits;
+}
+
+size_t Impliance::ChooseDop() const {
+  cluster::Scheduler::LoadSnapshot load;
+  load.grid_queue_depth = static_cast<double>(execution_->pending_tasks());
+  return cluster::Scheduler().ChooseDop(
+      exec::ParallelExecutor::Shared().num_threads(), load);
+}
+
+AvailableSet Impliance::AvailableDocs(QueryHealth* health) const {
+  if (scale_out_ == nullptr) return nullptr;
+  cluster::ShipStats ship;
+  obs::ScopedSpan availability_span("core.availability");
+  AvailableSet available = scale_out_->AvailableDocs(&ship);
+  ReportHealth(ship, health);
+  return available;
 }
 
 model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
@@ -698,8 +677,7 @@ std::shared_ptr<const query::ColumnarTable> Impliance::ProjectionFor(
   return table;
 }
 
-query::Catalog Impliance::BuildCatalogLocked(
-    std::shared_ptr<const std::set<model::DocId>> available) const {
+query::Catalog Impliance::BuildCatalogLocked(AvailableSet available) const {
   query::Catalog catalog;
   for (const std::string& kind : paths_.Kinds()) {
     catalog.Register(std::make_shared<DocumentTable>(
@@ -739,9 +717,6 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
   if (!access_.HasPrincipal(principal)) {
     return Status::InvalidArgument("unknown principal: " + principal);
   }
-  // Intra-query parallelism: cap the morsel DOP by the cluster scheduler's
-  // view of free workers. Queued background discovery counts as grid load,
-  // so a busy appliance degrades gracefully to serial execution.
   exec::ExecOptions exec_options;
   {
     obs::ScopedSpan plan_span("core.plan");
@@ -770,25 +745,12 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
       return Status::Aborted("principal " + principal +
                              " may not read the queried kinds");
     }
-    cluster::Scheduler scheduler;
-    cluster::Scheduler::LoadSnapshot load;
-    load.grid_queue_depth = static_cast<double>(execution_->pending_tasks());
-    exec_options.dop = scheduler.ChooseDop(
-        exec::ParallelExecutor::Shared().num_threads(), load);
+    exec_options.dop = ChooseDop();
   }
   // Availability before the scan: with a scale-out tier, table scans may
   // only read documents the blades can serve; the rest is reported through
   // `health` — the same complete-or-degraded contract keyword search has.
-  std::shared_ptr<const std::set<model::DocId>> available;
-  if (scale_out_ != nullptr) {
-    cluster::ShipStats ship;
-    obs::ScopedSpan availability_span("core.availability");
-    available = scale_out_->AvailableDocs(&ship);
-    if (health != nullptr) {
-      health->degraded = ship.degraded;
-      health->missing_partitions = ship.missing_partitions;
-    }
-  }
+  const AvailableSet available = AvailableDocs(health);
   Result<std::vector<exec::Row>> rows =
       [&]() -> Result<std::vector<exec::Row>> {
     std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -833,11 +795,7 @@ query::GraphQuery Impliance::Graph() const {
   // first). Interactive use after discovery is the intended pattern.
   query::GraphQuery graph(&joins_,
                           [this](model::DocId id) { return LabelFor(id); });
-  cluster::Scheduler scheduler;
-  cluster::Scheduler::LoadSnapshot load;
-  load.grid_queue_depth = static_cast<double>(execution_->pending_tasks());
-  graph.set_parallelism(
-      scheduler.ChooseDop(exec::ParallelExecutor::Shared().num_threads(), load));
+  graph.set_parallelism(ChooseDop());
   return graph;
 }
 

@@ -71,6 +71,10 @@ struct QueryHealth {
   uint64_t missing_partitions = 0;
 };
 
+// The documents a query may read under partial failure of the scale-out
+// tier; nullptr means every document (single node, or nothing lost).
+using AvailableSet = std::shared_ptr<const std::set<model::DocId>>;
+
 struct DiscoveryReport {
   size_t documents_annotated = 0;
   size_t annotations_created = 0;
@@ -277,8 +281,22 @@ class Impliance {
       const std::string& kind, const model::ViewDef& view) const;
   // `available` (optional) restricts every table to that document set —
   // the scale-out tier's availability scan under partial failure.
-  query::Catalog BuildCatalogLocked(
-      std::shared_ptr<const std::set<model::DocId>> available = nullptr) const;
+  query::Catalog BuildCatalogLocked(AvailableSet available = nullptr) const;
+  // The one loop that turns ranked index hits into answers: fetches each
+  // body, drops kinds `principal` may not read, stops at `k` hits, and
+  // audits the query under `interface` with exactly the returned ids.
+  std::vector<SearchHit> HitsFor(
+      const std::string& principal, const std::string& interface,
+      const std::string& query,
+      const std::vector<index::InvertedIndex::SearchResult>& results,
+      size_t k) const;
+  // Degree of parallelism for one query's fan-out: the cluster scheduler's
+  // rule over the shared executor's workers, with queued background
+  // discovery as grid load, so a busy appliance degrades to serial.
+  size_t ChooseDop() const;
+  // What the scale-out tier can serve right now (nullptr on a single node),
+  // reporting the unreachable remainder through `health`.
+  AvailableSet AvailableDocs(QueryHealth* health) const;
   std::string LabelFor(model::DocId id) const;
 
   ImplianceOptions options_;

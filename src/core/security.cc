@@ -43,16 +43,6 @@ bool AccessController::CanRead(const std::string& principal,
   return it->second.count("*") > 0 || it->second.count(kind) > 0;
 }
 
-std::vector<std::string> AccessController::Principals() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> principals;
-  principals.reserve(grants_.size());
-  for (const auto& [principal, kinds] : grants_) {
-    principals.push_back(principal);
-  }
-  return principals;
-}
-
 uint64_t AuditLog::Record(std::string principal, std::string interface,
                           std::string query,
                           std::vector<model::DocId> docs) {

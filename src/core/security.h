@@ -31,8 +31,6 @@ class AccessController {
   // Admin: always. Unknown principals: never.
   bool CanRead(const std::string& principal, const std::string& kind) const;
 
-  std::vector<std::string> Principals() const;
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::set<std::string>> grants_;  // principal -> kinds

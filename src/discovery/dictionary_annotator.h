@@ -32,8 +32,6 @@ class DictionaryAnnotator : public Annotator {
 
   std::vector<AnnotationSpan> ScanText(std::string_view text) const;
 
-  size_t num_entries() const { return entries_.size(); }
-
  private:
   std::string name_;
   // normalized token-joined entry -> entity type.

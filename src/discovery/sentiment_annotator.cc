@@ -15,10 +15,6 @@ SentimentAnnotator::SentimentAnnotator() {
                "horrible", "cancel",   "unacceptable", "worst",   "defective"};
 }
 
-void SentimentAnnotator::AddPositiveWord(std::string word) {
-  positive_.insert(ToLower(word));
-}
-
 void SentimentAnnotator::AddNegativeWord(std::string word) {
   negative_.insert(ToLower(word));
 }

@@ -20,7 +20,6 @@ class SentimentAnnotator : public Annotator {
   // Ships with a small built-in lexicon; extendable.
   SentimentAnnotator();
 
-  void AddPositiveWord(std::string word);
   void AddNegativeWord(std::string word);
 
   std::string name() const override { return "sentiment"; }

@@ -37,8 +37,6 @@ class GroupByAggregator {
   // One output row per group, in key order: group columns ++ aggregates.
   std::vector<Row> Finalize() const;
 
-  size_t num_groups() const { return groups_.size(); }
-
   // Output schema for the given child schema.
   static Schema OutputSchema(const Schema& input,
                              const std::vector<int>& group_columns,

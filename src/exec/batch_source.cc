@@ -6,17 +6,13 @@ namespace impliance::exec {
 
 BorrowedBatchSource::BorrowedBatchSource(Schema schema,
                                          const std::vector<Row>* rows,
-                                         std::vector<int> columns,
-                                         size_t batch_rows)
-    : schema_(std::move(schema)),
-      rows_(rows),
-      columns_(std::move(columns)),
-      batch_rows_(batch_rows == 0 ? kDefaultBatchRows : batch_rows) {}
+                                         std::vector<int> columns)
+    : schema_(std::move(schema)), rows_(rows), columns_(std::move(columns)) {}
 
 bool BorrowedBatchSource::NextBatch(RowBatch* batch) {
   batch->clear();
   if (cursor_ >= rows_->size()) return false;
-  const size_t end = std::min(rows_->size(), cursor_ + batch_rows_);
+  const size_t end = std::min(rows_->size(), cursor_ + kDefaultBatchRows);
   batch->reserve(end - cursor_);
   for (; cursor_ < end; ++cursor_) {
     const Row& row = (*rows_)[cursor_];

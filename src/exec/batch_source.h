@@ -60,8 +60,7 @@ using BatchSourcePtr = std::unique_ptr<BatchSource>;
 class BorrowedBatchSource : public BatchSource {
  public:
   BorrowedBatchSource(Schema schema, const std::vector<Row>* rows,
-                      std::vector<int> columns,
-                      size_t batch_rows = kDefaultBatchRows);
+                      std::vector<int> columns);
 
   const Schema& schema() const override { return schema_; }
   bool NextBatch(RowBatch* batch) override;
@@ -72,32 +71,8 @@ class BorrowedBatchSource : public BatchSource {
   Schema schema_;
   const std::vector<Row>* rows_;
   std::vector<int> columns_;  // empty = identity
-  size_t batch_rows_;
   size_t cursor_ = 0;
   ScanStats stats_;
-};
-
-// Leaf operator over a BatchSource, so a plan can consume a scan stream
-// without materializing it first. Single-use, like the source it wraps.
-class BatchSourceOp : public Operator {
- public:
-  explicit BatchSourceOp(BatchSourcePtr source) : source_(std::move(source)) {}
-
-  const Schema& schema() const override { return source_->schema(); }
-  std::string name() const override { return "BatchScan"; }
-  void Open() override {}
-  bool NextBatch(RowBatch* batch) override {
-    const bool more = source_->NextBatch(batch);
-    rows_produced_ += batch->size();
-    return more;
-  }
-  void Close() override {}
-  uint64_t EstimatedRows() const override { return source_->EstimatedRows(); }
-
-  ScanStats scan_stats() const { return source_->stats(); }
-
- private:
-  BatchSourcePtr source_;
 };
 
 // Drains a source into a vector. `predicates` (over the SOURCE's projected

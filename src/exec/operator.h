@@ -71,8 +71,8 @@ struct Schema {
 // "simple planner" premise (Section 3.3): few physical operators, each
 // predictable, instead of a large optimizer search space. Operators
 // produce/consume RowBatch chunks (~kDefaultBatchRows rows) so the hot
-// loops run per batch, not per virtual call; the row-at-a-time Next() of
-// the original Volcano design survives only as a non-virtual adapter.
+// loops run per batch, not per virtual call as in the original Volcano
+// design's row-at-a-time Next().
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -91,26 +91,10 @@ class Operator {
   // output capacity instead of growing per batch.
   virtual uint64_t EstimatedRows() const { return 0; }
 
-  // Row-at-a-time adapter for legacy call sites: drains an internal staged
-  // batch. Do not interleave with direct NextBatch() calls.
-  bool Next(Row* row) {
-    if (staged_cursor_ >= staged_.size()) {
-      staged_.clear();
-      staged_cursor_ = 0;
-      if (!NextBatch(&staged_) || staged_.empty()) return false;
-    }
-    *row = std::move(staged_.rows[staged_cursor_++]);
-    return true;
-  }
-
   uint64_t rows_produced() const { return rows_produced_; }
 
  protected:
   uint64_t rows_produced_ = 0;
-
- private:
-  RowBatch staged_;
-  size_t staged_cursor_ = 0;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

@@ -23,7 +23,7 @@ std::vector<Row> Execute(Operator* op) {
 bool RowSourceOp::NextBatch(RowBatch* batch) {
   batch->clear();
   if (cursor_ >= rows_.size()) return false;
-  const size_t end = std::min(rows_.size(), cursor_ + batch_rows_);
+  const size_t end = std::min(rows_.size(), cursor_ + kDefaultBatchRows);
   batch->reserve(end - cursor_);
   for (; cursor_ < end; ++cursor_) batch->AppendCopy(rows_[cursor_]);
   rows_produced_ += batch->size();

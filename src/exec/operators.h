@@ -18,11 +18,8 @@ namespace impliance::exec {
 // or rows shipped from another node).
 class RowSourceOp : public Operator {
  public:
-  RowSourceOp(Schema schema, std::vector<Row> rows,
-              size_t batch_rows = kDefaultBatchRows)
-      : schema_(std::move(schema)),
-        rows_(std::move(rows)),
-        batch_rows_(batch_rows) {}
+  RowSourceOp(Schema schema, std::vector<Row> rows)
+      : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "RowSource"; }
@@ -34,7 +31,6 @@ class RowSourceOp : public Operator {
  private:
   Schema schema_;
   std::vector<Row> rows_;
-  size_t batch_rows_;
   size_t cursor_ = 0;
 };
 

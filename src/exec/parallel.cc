@@ -33,16 +33,9 @@ class CompletionLatch {
   size_t remaining_;
 };
 
-OperatorPtr MakeSource(const MorselPlan& plan, size_t begin, size_t end,
-                       size_t batch_rows) {
-  return std::make_unique<RowSliceSourceOp>(&plan.source_schema,
-                                            plan.source_rows, begin, end,
-                                            batch_rows);
-}
-
-OperatorPtr MakePipeline(const MorselPlan& plan, size_t begin, size_t end,
-                         size_t batch_rows) {
-  OperatorPtr source = MakeSource(plan, begin, end, batch_rows);
+OperatorPtr MakePipeline(const MorselPlan& plan, size_t begin, size_t end) {
+  OperatorPtr source = std::make_unique<RowSliceSourceOp>(
+      &plan.source_schema, plan.source_rows, begin, end);
   return plan.make_pipeline ? plan.make_pipeline(std::move(source))
                             : std::move(source);
 }
@@ -53,7 +46,7 @@ OperatorPtr MakePipeline(const MorselPlan& plan, size_t begin, size_t end,
 
 Schema MorselPlan::PipelineSchema() const {
   // Probe with an empty slice: schemas are fixed at construction.
-  return MakePipeline(*this, 0, 0, 1)->schema();
+  return MakePipeline(*this, 0, 0)->schema();
 }
 
 Schema MorselPlan::OutputSchema() const {
@@ -145,10 +138,9 @@ ParallelExecutor& ParallelExecutor::Shared() {
   return executor;
 }
 
-std::vector<Row> ParallelExecutor::RunInline(const MorselPlan& plan,
-                                             const ExecOptions& options) {
+std::vector<Row> ParallelExecutor::RunInline(const MorselPlan& plan) {
   const size_t total = plan.source_rows ? plan.source_rows->size() : 0;
-  OperatorPtr pipeline = MakePipeline(plan, 0, total, options.batch_rows);
+  OperatorPtr pipeline = MakePipeline(plan, 0, total);
   switch (plan.sink) {
     case MorselPlan::Sink::kCollect:
       return Execute(pipeline.get());
@@ -172,14 +164,12 @@ std::vector<Row> ParallelExecutor::RunInline(const MorselPlan& plan,
   return {};
 }
 
-void ParallelExecutor::RunWorker(const MorselPlan& plan,
-                                 const ExecOptions& options, MorselQueue* queue,
+void ParallelExecutor::RunWorker(const MorselPlan& plan, MorselQueue* queue,
                                  size_t worker, WorkerState* state) {
   MorselQueue::Morsel morsel;
   RowBatch batch;
   while (queue->Pop(worker, &morsel)) {
-    OperatorPtr pipeline =
-        MakePipeline(plan, morsel.begin, morsel.end, options.batch_rows);
+    OperatorPtr pipeline = MakePipeline(plan, morsel.begin, morsel.end);
     pipeline->Open();
     while (pipeline->NextBatch(&batch)) {
       switch (plan.sink) {
@@ -207,7 +197,7 @@ std::vector<Row> ParallelExecutor::Run(const MorselPlan& plan,
   const size_t morsel_rows = std::max<size_t>(1, options.morsel_rows);
   const size_t num_morsels = (total + morsel_rows - 1) / morsel_rows;
   size_t dop = std::min(options.dop, num_morsels);
-  if (dop <= 1) return RunInline(plan, options);
+  if (dop <= 1) return RunInline(plan);
 
   MorselQueue queue(total, morsel_rows, dop);
   // Each morsel gets its own output slot so collected rows concatenate in
@@ -236,10 +226,10 @@ std::vector<Row> ParallelExecutor::Run(const MorselPlan& plan,
   obs::ScopedSpan morsel_span("exec.morsels");
   CompletionLatch latch(dop);
   for (size_t w = 0; w < dop; ++w) {
-    pool_.Submit([this, &plan, &options, &queue, &states, &latch, w,
+    pool_.Submit([this, &plan, &queue, &states, &latch, w,
                   trace = obs::CurrentTrace()] {
       obs::ScopedTraceAttach attach(trace);
-      RunWorker(plan, options, &queue, w, &states[w]);
+      RunWorker(plan, &queue, w, &states[w]);
       latch.CountDown();
     });
   }

@@ -22,7 +22,6 @@ namespace impliance::exec {
 struct ExecOptions {
   size_t dop = 1;
   size_t morsel_rows = kDefaultMorselRows;
-  size_t batch_rows = kDefaultBatchRows;
 };
 
 // A parallelizable query segment: a materialized base-table scan, a
@@ -124,10 +123,9 @@ class ParallelExecutor {
  private:
   struct WorkerState;
 
-  std::vector<Row> RunInline(const MorselPlan& plan,
-                             const ExecOptions& options);
-  void RunWorker(const MorselPlan& plan, const ExecOptions& options,
-                 MorselQueue* queue, size_t worker, WorkerState* state);
+  std::vector<Row> RunInline(const MorselPlan& plan);
+  void RunWorker(const MorselPlan& plan, MorselQueue* queue, size_t worker,
+                 WorkerState* state);
 
   ThreadPool pool_;
   std::atomic<uint64_t> total_steals_{0};

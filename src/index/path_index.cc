@@ -83,11 +83,4 @@ std::vector<std::string> PathIndex::Kinds() const {
   return kinds;
 }
 
-std::vector<std::string> PathIndex::AllPaths() const {
-  std::vector<std::string> paths;
-  paths.reserve(path_docs_.size());
-  for (const auto& [path, docs] : path_docs_) paths.push_back(path);
-  return paths;
-}
-
 }  // namespace impliance::index

@@ -42,9 +42,6 @@ class PathIndex {
   // All kinds seen, sorted.
   std::vector<std::string> Kinds() const;
 
-  // All paths seen, sorted.
-  std::vector<std::string> AllPaths() const;
-
   size_t num_paths() const { return path_docs_.size(); }
 
  private:

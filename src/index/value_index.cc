@@ -52,17 +52,4 @@ void ValueIndex::Scan(
   it->second.ScanRange(nullptr, true, nullptr, true, fn);
 }
 
-std::vector<std::string> ValueIndex::Paths() const {
-  std::vector<std::string> paths;
-  paths.reserve(trees_.size());
-  for (const auto& [path, tree] : trees_) paths.push_back(path);
-  return paths;
-}
-
-size_t ValueIndex::num_entries() const {
-  size_t total = 0;
-  for (const auto& [path, tree] : trees_) total += tree.size();
-  return total;
-}
-
 }  // namespace impliance::index

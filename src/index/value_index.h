@@ -43,11 +43,7 @@ class ValueIndex {
             const std::function<bool(const model::Value&, model::DocId)>& fn)
       const;
 
-  // All indexed paths, sorted.
-  std::vector<std::string> Paths() const;
-
   size_t num_paths() const { return trees_.size(); }
-  size_t num_entries() const;
 
  private:
   std::map<std::string, BPlusTree, std::less<>> trees_;

@@ -134,11 +134,4 @@ RegistrySnapshot Registry::Snapshot() const {
   return snapshot;
 }
 
-void Registry::ResetForTesting() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace impliance::obs

@@ -15,11 +15,11 @@
 // The self-managing behaviors of Sections 3.4/5 (admission control,
 // brokered resources, execution management) all need the system to see its
 // own latencies and queue depths cheaply and continuously, which rules out
-// the exact-sample common/Histogram (unbounded memory, sort-per-read).
-// Everything here is O(1) per recording, allocation-free after
-// registration, and safe to hammer from any number of threads while a
-// reader snapshots. This library deliberately depends on nothing but the
-// standard library so `common` (ThreadPool) can depend on it.
+// keeping exact samples (unbounded memory, sort-per-read). Everything here
+// is O(1) per recording, allocation-free after registration, and safe to
+// hammer from any number of threads while a reader snapshots. This library
+// deliberately depends on nothing but the standard library so `common`
+// (ThreadPool) can depend on it.
 namespace impliance::obs {
 
 // Runtime kill-switch: with metrics disabled every Add/Increment becomes a
@@ -92,8 +92,8 @@ class Gauge {
 // growing by 2^(1/kBucketsPerOctave) per step, so quantiles are accurate
 // to within one bucket width (<= ~19% relative error) at any sample count.
 // Add is O(1) (one log2 + one relaxed fetch_add); memory is a constant
-// ~1.4 KiB regardless of how many samples are recorded — the replacement
-// for the exact-sample Histogram on server and core hot paths.
+// ~1.4 KiB regardless of how many samples are recorded, which is what
+// server and core hot paths need.
 struct HistogramSnapshot {
   std::vector<uint64_t> buckets;  // size kNumBuckets
   uint64_t total = 0;
@@ -176,11 +176,6 @@ class Registry {
   BoundedHistogram* GetHistogram(const std::string& name);
 
   RegistrySnapshot Snapshot() const;
-
-  // Testing/bench escape hatch: forget every registered metric. Pointers
-  // handed out earlier dangle afterwards — only for process-wide resets
-  // between bench phases, never on serving paths.
-  void ResetForTesting();
 
  private:
   Registry() = default;

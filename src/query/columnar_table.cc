@@ -38,22 +38,6 @@ std::optional<ColumnSummary> ColumnarTable::SummarizeColumn(int column) const {
   return summary;
 }
 
-std::vector<exec::Row> ColumnarTable::IndexLookup(
-    int column, const model::Value& value) const {
-  (void)column;
-  (void)value;
-  return {};  // HasIndexOn is always false; the planner never gets here
-}
-
-std::vector<exec::Row> ColumnarTable::IndexRange(int column,
-                                                 const model::Value* lo,
-                                                 const model::Value* hi) const {
-  (void)column;
-  (void)lo;
-  (void)hi;
-  return {};
-}
-
 size_t ColumnarTable::EncodedBytes() const {
   size_t bytes = 0;
   for (const auto& segment : segments_) bytes += segment->EncodedBytes();

@@ -29,11 +29,6 @@ class ColumnarTable : public Table {
   const exec::Schema& schema() const override { return schema_; }
   bool SupportsZoneMapSkipping() const override { return true; }
   std::optional<ColumnSummary> SummarizeColumn(int column) const override;
-  bool HasIndexOn(int column) const override { return false; }
-  std::vector<exec::Row> IndexLookup(int column,
-                                     const model::Value& value) const override;
-  std::vector<exec::Row> IndexRange(int column, const model::Value* lo,
-                                    const model::Value* hi) const override;
   size_t RowCount() const override { return row_count_; }
   uint64_t DataVersion() const override { return version_; }
 

@@ -802,36 +802,27 @@ Result<std::optional<ParallelPlan>> CostAwarePlanner::PlanParallel(
       ResolveUpper(stmt, resolver, /*consumed_predicates=*/{},
                    /*filter_order=*/{}, /*adaptive_filter=*/false));
 
-  std::vector<std::string> lines;
   Node scratch;
   std::vector<exec::Row> driver_rows =
       MaterializeTable(opt, opt.driver, params_, &scratch);
-  lines.push_back("Access(" + opt.tables[opt.driver]->table_name() +
-                  ", prefiltered)");
 
   Layout layout;
   layout.AppendTable(opt.bound[opt.driver], opt.driver);
 
-  struct Probe {
-    std::shared_ptr<const exec::JoinHashTable> table;
-    int left_key = -1;
-  };
-  std::vector<Probe> probes;
+  std::vector<planning::SharedProbe> probes;
   for (const JoinStep& step : opt.steps) {
     const BoundTable& right = opt.bound[step.table];
     std::vector<exec::Row> build_rows =
         MaterializeTable(opt, step.table, params_, &scratch);
     exec::RowSourceOp build(right.schema, std::move(build_rows));
-    probes.push_back(
-        Probe{exec::JoinHashTable::Build(&build,
-                                         right.KeptIndexOf(step.new_column)),
-              layout.PositionOf(step.placed_table, step.placed_column)});
+    probes.push_back(planning::SharedProbe{
+        exec::JoinHashTable::Build(&build, right.KeptIndexOf(step.new_column)),
+        layout.PositionOf(step.placed_table, step.placed_column)});
     layout.AppendTable(right, step.table);
-    lines.push_back("HashProbe(build=" +
-                    opt.tables[step.table]->table_name() + ", shared)");
   }
 
-  // Restore the textual layout inside the pipeline when reordered.
+  // Restore the textual layout inside the pipeline when reordered; an
+  // identity permutation is left out.
   std::vector<int> perm;
   std::vector<std::string> perm_names;
   bool identity = true;
@@ -844,37 +835,17 @@ Result<std::optional<ParallelPlan>> CostAwarePlanner::PlanParallel(
       perm_names.push_back(opt.bound[t].schema.columns[i]);
     }
   }
-  if (!identity) lines.push_back("Reorder(textual column layout)");
+  if (identity) {
+    perm.clear();
+    perm_names.clear();
+  }
 
   ParallelPlan parallel;
   parallel.segment.source_schema = opt.bound[opt.driver].schema;
   parallel.segment.source_rows =
       std::make_shared<std::vector<exec::Row>>(std::move(driver_rows));
-
-  const bool project_in_pipeline = !spec.has_aggregate && spec.project;
-  parallel.segment.make_pipeline =
-      [probes, identity, perm, perm_names, project_in_pipeline,
-       columns = spec.project_columns,
-       names = spec.project_names](exec::OperatorPtr source) {
-        exec::OperatorPtr op = std::move(source);
-        for (const Probe& probe : probes) {
-          op = std::make_unique<exec::HashProbeOp>(std::move(op), probe.table,
-                                                   probe.left_key);
-        }
-        if (!identity) {
-          op = std::make_unique<exec::ProjectOp>(std::move(op), perm,
-                                                 perm_names);
-        }
-        if (project_in_pipeline) {
-          op = std::make_unique<exec::ProjectOp>(std::move(op), columns,
-                                                 names);
-        }
-        return op;
-      };
-
-  planning::AttachParallelUpper(spec, &parallel, &lines);
-  parallel.explain =
-      "ParallelMorsels(cost-aware)\n" + planning::RenderExplain(lines);
+  planning::AttachParallelUpper(spec, std::move(probes), std::move(perm),
+                                std::move(perm_names), &parallel);
   return std::optional<ParallelPlan>(std::move(parallel));
 }
 

@@ -53,11 +53,6 @@ std::shared_ptr<const TableStats> TableStatsCache::RefreshLocked(
   return stats;
 }
 
-void TableStatsCache::Forget(const std::string& table_name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.erase(table_name);
-}
-
 uint64_t TableStatsCache::collections() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return collections_;

@@ -35,9 +35,6 @@ class TableStatsCache {
   // Forces a full recollection now (manual ANALYZE).
   std::shared_ptr<const TableStats> Refresh(const Table& table);
 
-  // Drops a table's snapshot (e.g. when the table is unregistered).
-  void Forget(const std::string& table_name);
-
   Mode mode() const { return mode_; }
 
   // Full collections performed so far (observability / tests).

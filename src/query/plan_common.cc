@@ -309,6 +309,34 @@ Result<UpperPlanSpec> ResolveUpper(const SelectStatement& stmt,
   return spec;
 }
 
+namespace {
+
+// ORDER BY / LIMIT as serial operators: a bounded top-k heap when both are
+// present, else a full sort or a plain limit. `explain_lines` may be null.
+exec::OperatorPtr AddOrderAndLimit(const UpperPlanSpec& spec,
+                                   exec::OperatorPtr plan,
+                                   std::vector<std::string>* explain_lines) {
+  auto explain = [explain_lines](std::string line) {
+    if (explain_lines != nullptr) explain_lines->push_back(std::move(line));
+  };
+  if (!spec.sort_keys.empty()) {
+    if (spec.limit.has_value()) {
+      explain("TopK(k=" + std::to_string(*spec.limit) + ")");
+      return std::make_unique<exec::TopKOp>(std::move(plan), spec.sort_keys,
+                                            *spec.limit);
+    }
+    explain("Sort");
+    return std::make_unique<exec::SortOp>(std::move(plan), spec.sort_keys);
+  }
+  if (spec.limit.has_value()) {
+    explain("Limit(" + std::to_string(*spec.limit) + ")");
+    return std::make_unique<exec::LimitOp>(std::move(plan), *spec.limit);
+  }
+  return plan;
+}
+
+}  // namespace
+
 exec::OperatorPtr BuildSerialUpper(const UpperPlanSpec& spec,
                                    exec::OperatorPtr plan,
                                    std::vector<std::string>* explain_lines) {
@@ -330,66 +358,61 @@ exec::OperatorPtr BuildSerialUpper(const UpperPlanSpec& spec,
     plan = std::make_unique<exec::ProjectOp>(
         std::move(plan), spec.project_columns, spec.project_names);
   }
-  if (!spec.sort_keys.empty()) {
-    if (spec.limit.has_value()) {
-      explain_lines->push_back("TopK(k=" + std::to_string(*spec.limit) + ")");
-      plan = std::make_unique<exec::TopKOp>(std::move(plan), spec.sort_keys,
-                                            *spec.limit);
-    } else {
-      explain_lines->push_back("Sort");
-      plan = std::make_unique<exec::SortOp>(std::move(plan), spec.sort_keys);
-    }
-  } else if (spec.limit.has_value()) {
-    explain_lines->push_back("Limit(" + std::to_string(*spec.limit) + ")");
-    plan = std::make_unique<exec::LimitOp>(std::move(plan), *spec.limit);
-  }
-  return plan;
+  return AddOrderAndLimit(spec, std::move(plan), explain_lines);
 }
 
-void AttachParallelUpper(const UpperPlanSpec& spec, ParallelPlan* parallel,
-                         std::vector<std::string>* explain_lines) {
+void AttachParallelUpper(const UpperPlanSpec& spec,
+                         std::vector<SharedProbe> probes,
+                         std::vector<int> reorder,
+                         std::vector<std::string> reorder_names,
+                         ParallelPlan* parallel) {
+  const bool project = !spec.has_aggregate && spec.project;
+  parallel->segment.make_pipeline = [probes = std::move(probes),
+                                     reorder = std::move(reorder),
+                                     reorder_names = std::move(reorder_names),
+                                     spec, project](exec::OperatorPtr op) {
+    for (const SharedProbe& probe : probes) {
+      op = std::make_unique<exec::HashProbeOp>(std::move(op), probe.table,
+                                               probe.left_key);
+    }
+    if (!reorder.empty()) {
+      op = std::make_unique<exec::ProjectOp>(std::move(op), reorder,
+                                             reorder_names);
+    }
+    if (!spec.predicates.empty()) {
+      op = std::make_unique<exec::FilterOp>(std::move(op), spec.predicates,
+                                            spec.adaptive_filter);
+    }
+    if (project) {
+      op = std::make_unique<exec::ProjectOp>(
+          std::move(op), spec.project_columns, spec.project_names);
+    }
+    return op;
+  };
   if (spec.has_aggregate) {
     parallel->segment.sink = exec::MorselPlan::Sink::kAggregate;
     parallel->segment.group_columns = spec.group_columns;
     parallel->segment.aggregates = spec.aggregates;
-    explain_lines->push_back(
-        "PartialAggregate(groups=" + std::to_string(spec.group_columns.size()) +
-        ", aggs=" + std::to_string(spec.aggregates.size()) + ") => Merge");
     // Post-aggregate select-list projection, then order/limit, run serially
     // on the merged groups.
     parallel->tail = [spec](exec::OperatorPtr source) {
-      exec::OperatorPtr op = std::make_unique<exec::ProjectOp>(
-          std::move(source), spec.project_columns, spec.project_names);
-      if (!spec.sort_keys.empty()) {
-        if (spec.limit.has_value()) {
-          op = std::make_unique<exec::TopKOp>(std::move(op), spec.sort_keys,
-                                              *spec.limit);
-        } else {
-          op = std::make_unique<exec::SortOp>(std::move(op), spec.sort_keys);
-        }
-      } else if (spec.limit.has_value()) {
-        op = std::make_unique<exec::LimitOp>(std::move(op), *spec.limit);
-      }
-      return op;
+      return AddOrderAndLimit(
+          spec,
+          std::make_unique<exec::ProjectOp>(
+              std::move(source), spec.project_columns, spec.project_names),
+          /*explain_lines=*/nullptr);
     };
   } else if (!spec.sort_keys.empty() && spec.limit.has_value()) {
     parallel->segment.sink = exec::MorselPlan::Sink::kTopK;
     parallel->segment.sort_keys = spec.sort_keys;
     parallel->segment.top_k = *spec.limit;
-    explain_lines->push_back(
-        "PartialTopK(k=" + std::to_string(*spec.limit) + ") => Merge");
   } else {
+    // Collected in morsel order; a sort or a limit runs on the merge.
     parallel->segment.sink = exec::MorselPlan::Sink::kCollect;
-    explain_lines->push_back("Collect(morsel order)");
-    if (!spec.sort_keys.empty()) {
-      explain_lines->push_back("Sort");
-      parallel->tail = [keys = spec.sort_keys](exec::OperatorPtr source) {
-        return std::make_unique<exec::SortOp>(std::move(source), keys);
-      };
-    } else if (spec.limit.has_value()) {
-      explain_lines->push_back("Limit(" + std::to_string(*spec.limit) + ")");
-      parallel->tail = [limit = *spec.limit](exec::OperatorPtr source) {
-        return std::make_unique<exec::LimitOp>(std::move(source), limit);
+    if (!spec.sort_keys.empty() || spec.limit.has_value()) {
+      parallel->tail = [spec](exec::OperatorPtr source) {
+        return AddOrderAndLimit(spec, std::move(source),
+                                /*explain_lines=*/nullptr);
       };
     }
   }

@@ -151,12 +151,24 @@ exec::OperatorPtr BuildSerialUpper(const UpperPlanSpec& spec,
                                    exec::OperatorPtr plan,
                                    std::vector<std::string>* explain_lines);
 
-// Attaches the spec's sink + serial tail to a morsel-parallel plan (partial
-// aggregate / partial top-k / collect, then the serial remainder). The
-// caller's make_pipeline must already handle probes, residual filters, and —
-// when `!spec.has_aggregate && spec.project` — the select-list projection.
-void AttachParallelUpper(const UpperPlanSpec& spec, ParallelPlan* parallel,
-                         std::vector<std::string>* explain_lines);
+// A join build shared read-only by every morsel worker, probed with the
+// morsel rows' `left_key` column.
+struct SharedProbe {
+  std::shared_ptr<const exec::JoinHashTable> table;
+  int left_key = -1;
+};
+
+// Completes a morsel-parallel plan whose segment source is set. Each morsel
+// runs `probes` in order, then `reorder` (a projection restoring the
+// textual column layout after a join reorder; skipped when empty), then the
+// spec's residual filter and — unless an aggregate reshapes the rows — its
+// select-list projection. The spec's sink and serial tail follow (partial
+// aggregate / partial top-k / collect, then the serial remainder).
+void AttachParallelUpper(const UpperPlanSpec& spec,
+                         std::vector<SharedProbe> probes,
+                         std::vector<int> reorder,
+                         std::vector<std::string> reorder_names,
+                         ParallelPlan* parallel);
 
 std::string RenderExplain(const std::vector<std::string>& lines);
 

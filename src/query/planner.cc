@@ -168,15 +168,12 @@ Result<std::optional<ParallelPlan>> SimplePlanner::PlanParallel(
       stmt, tables, joins, std::vector<bool>(tables.size(), false));
   const NameResolver resolver(&bound);
 
-  std::vector<std::string> explain_lines;
-
   // Same access-path rule as the serial plan.
   const int chosen = ChooseAccessPredicate(stmt, tables[0]);
   std::string description;
   int consumed_index = -1;
   std::vector<exec::Row> base_rows =
       FetchAccess(stmt, bound[0], chosen, &description, &consumed_index);
-  explain_lines.push_back(description);
 
   std::set<int> consumed;
   if (consumed_index >= 0) consumed.insert(consumed_index);
@@ -189,56 +186,22 @@ Result<std::optional<ParallelPlan>> SimplePlanner::PlanParallel(
       ResolveUpper(stmt, resolver, consumed, order, /*adaptive_filter=*/true));
 
   // Shared build sides: constructed once here, probed from every worker.
-  struct Probe {
-    std::shared_ptr<const exec::JoinHashTable> table;
-    int left_key = -1;
-  };
-  std::vector<Probe> probes;
+  std::vector<planning::SharedProbe> probes;
   for (const BoundJoin& join : joins) {
     const BoundTable& right = bound[join.right_table];
     exec::RowSourceOp build(right.schema, right.ScanKept());
-    probes.push_back(Probe{
+    probes.push_back(planning::SharedProbe{
         exec::JoinHashTable::Build(&build, right.KeptIndexOf(join.right_column)),
         resolver.Offset(join.left_table) +
             bound[join.left_table].KeptIndexOf(join.left_column)});
-    explain_lines.push_back("HashProbe(build=" +
-                            right.table->table_name() + ", shared)");
-  }
-  if (!spec.predicates.empty()) {
-    explain_lines.push_back(
-        "AdaptiveFilter(" + std::to_string(spec.predicates.size()) +
-        " predicates, per-morsel)");
   }
 
   ParallelPlan parallel;
   parallel.segment.source_schema = bound[0].schema;
   parallel.segment.source_rows =
       std::make_shared<std::vector<exec::Row>>(std::move(base_rows));
-
-  // Pipeline stacked on each morsel: probes -> filter -> (project when the
-  // aggregate does not reshape the rows anyway).
-  const bool project_in_pipeline = !spec.has_aggregate && spec.project;
-  parallel.segment.make_pipeline =
-      [probes, predicates = spec.predicates, project_in_pipeline,
-       columns = spec.project_columns,
-       names = spec.project_names](exec::OperatorPtr source) {
-        exec::OperatorPtr op = std::move(source);
-        for (const Probe& probe : probes) {
-          op = std::make_unique<exec::HashProbeOp>(std::move(op), probe.table,
-                                                   probe.left_key);
-        }
-        if (!predicates.empty()) {
-          op = std::make_unique<exec::FilterOp>(std::move(op), predicates,
-                                                /*adaptive=*/true);
-        }
-        if (project_in_pipeline) {
-          op = std::make_unique<exec::ProjectOp>(std::move(op), columns, names);
-        }
-        return op;
-      };
-
-  planning::AttachParallelUpper(spec, &parallel, &explain_lines);
-  parallel.explain = "ParallelMorsels\n" + RenderExplain(explain_lines);
+  planning::AttachParallelUpper(spec, std::move(probes), /*reorder=*/{},
+                                /*reorder_names=*/{}, &parallel);
   return std::optional<ParallelPlan>(std::move(parallel));
 }
 

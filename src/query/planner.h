@@ -45,7 +45,6 @@ struct PlanResult {
 struct ParallelPlan {
   exec::MorselPlan segment;
   std::function<exec::OperatorPtr(exec::OperatorPtr)> tail;
-  std::string explain;
 };
 
 class Planner {

@@ -154,11 +154,4 @@ const Table* Catalog::Lookup(std::string_view name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 }  // namespace impliance::query

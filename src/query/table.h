@@ -57,15 +57,21 @@ class Table {
     return std::nullopt;
   }
 
-  virtual bool HasIndexOn(int column) const = 0;
+  // Index access; a backend without indexes keeps these defaults, and the
+  // planners never call the lookups while HasIndexOn is false.
+  virtual bool HasIndexOn(int column) const { return false; }
 
   // Rows whose `column` equals `value`. Only valid if HasIndexOn(column).
   virtual std::vector<exec::Row> IndexLookup(int column,
-                                             const model::Value& value) const = 0;
+                                             const model::Value& value) const {
+    return {};
+  }
 
   // Rows with `column` in [lo, hi] (nullptr = unbounded).
   virtual std::vector<exec::Row> IndexRange(int column, const model::Value* lo,
-                                            const model::Value* hi) const = 0;
+                                            const model::Value* hi) const {
+    return {};
+  }
 
   // True cardinality (the simple planner never asks; the cost-aware planner
   // reads it through the TableStatsCache).
@@ -128,7 +134,6 @@ class Catalog {
  public:
   void Register(std::shared_ptr<const Table> table);
   const Table* Lookup(std::string_view name) const;
-  std::vector<std::string> TableNames() const;
 
  private:
   std::map<std::string, std::shared_ptr<const Table>, std::less<>> tables_;

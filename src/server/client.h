@@ -93,8 +93,6 @@ class ImplianceClient {
   // request.id and request.deadline_ms (when unset) automatically.
   Result<wire::Response> Call(wire::Request request);
 
-  uint64_t requests_sent() const { return next_request_id_ - 1; }
-
  private:
   explicit ImplianceClient(ClientOptions options);
 

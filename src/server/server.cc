@@ -103,10 +103,7 @@ void ImplianceServer::AcceptLoop() {
       ::close(fd);
       break;
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections_accepted;
-    }
+    connections_accepted_.Increment();
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -149,10 +146,7 @@ void ImplianceServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     if (status.IsInvalidArgument()) {
       // Oversized length prefix: answer, then drop the connection — the
       // byte stream can no longer be trusted to be framed.
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.invalid_frames;
-      }
+      invalid_frames_.Increment();
       SendResponse(connection.get(),
                    ErrorResponse(0, wire::WireStatus::kInvalidRequest,
                                  status.message()));
@@ -165,10 +159,7 @@ void ImplianceServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     if (!status.ok()) {
       // Garbage inside a well-framed body: reject the request but keep
       // the connection — framing is still intact.
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.invalid_frames;
-      }
+      invalid_frames_.Increment();
       SendResponse(connection.get(),
                    ErrorResponse(0, wire::WireStatus::kInvalidRequest,
                                  status.message()));
@@ -188,10 +179,7 @@ void ImplianceServer::ReaderLoop(std::shared_ptr<Connection> connection) {
 void ImplianceServer::Dispatch(std::shared_ptr<Connection> connection,
                                wire::Request request) {
   if (draining_.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.requests_rejected_draining;
-    }
+    requests_rejected_draining_.Increment();
     SendResponse(connection.get(),
                  ErrorResponse(request.id, wire::WireStatus::kShuttingDown,
                                "server is draining"));
@@ -204,10 +192,7 @@ void ImplianceServer::Dispatch(std::shared_ptr<Connection> connection,
   size_t depth = queued_.load(std::memory_order_relaxed);
   do {
     if (depth >= options_.max_queue_depth) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests_shed;
-      }
+      requests_shed_.Increment();
       SendResponse(connection.get(),
                    ErrorResponse(request.id, wire::WireStatus::kOverloaded,
                                  "admission queue full"));
@@ -216,10 +201,7 @@ void ImplianceServer::Dispatch(std::shared_ptr<Connection> connection,
   } while (!queued_.compare_exchange_weak(depth, depth + 1,
                                           std::memory_order_acq_rel));
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_admitted;
-  }
+  requests_admitted_.Increment();
 
   const uint64_t received_micros = NowMicros();
   const uint64_t deadline_ms = request.deadline_ms != 0
@@ -243,10 +225,7 @@ void ImplianceServer::Dispatch(std::shared_ptr<Connection> connection,
     // worker on an answer nobody is waiting for.
     if (deadline_ms != 0 &&
         NowMicros() > received_micros + deadline_ms * 1000) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.deadline_expired;
-      }
+      deadline_expired_.Increment();
       SendResponse(connection.get(),
                    ErrorResponse(request.id,
                                  wire::WireStatus::kDeadlineExceeded,
@@ -276,10 +255,7 @@ void ImplianceServer::Dispatch(std::shared_ptr<Connection> connection,
     }
     response.id = request.id;
     RecordLatency(request.op, (NowMicros() - received_micros) / 1000.0);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.requests_completed;
-    }
+    requests_completed_.Increment();
     SendResponse(connection.get(), response);
     obs::FinishTrace(trace);
 
@@ -423,17 +399,16 @@ wire::Response ImplianceServer::BuildStatsResponse() const {
       {"segments", core_stats.store.num_segments},
       {"admin_steps", core_stats.admin_steps},
   };
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    response.counters.insert(
-        response.counters.end(),
-        {{"connections_accepted", stats_.connections_accepted},
-         {"requests_admitted", stats_.requests_admitted},
-         {"requests_completed", stats_.requests_completed},
-         {"requests_shed", stats_.requests_shed},
-         {"deadline_expired", stats_.deadline_expired},
-         {"invalid_frames", stats_.invalid_frames}});
-  }
+  const ServingStats serving = GetServingStats();
+  response.counters.insert(
+      response.counters.end(),
+      {{"connections_accepted", serving.connections_accepted},
+       {"requests_admitted", serving.requests_admitted},
+       {"requests_completed", serving.requests_completed},
+       {"requests_shed", serving.requests_shed},
+       {"deadline_expired", serving.deadline_expired},
+       {"invalid_frames", serving.invalid_frames},
+       {"requests_rejected_draining", serving.requests_rejected_draining}});
   // Process-wide metrics registry: counters and gauges ship under their
   // registry names; "server.op.<name>" histograms become the per-op
   // latency summaries (prefix stripped — they ARE the serving latencies).
@@ -513,8 +488,15 @@ void ImplianceServer::RecordLatency(wire::Op op, double millis) {
 }
 
 ServingStats ImplianceServer::GetServingStats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  ServingStats stats;
+  stats.connections_accepted = connections_accepted_.Value();
+  stats.requests_admitted = requests_admitted_.Value();
+  stats.requests_completed = requests_completed_.Value();
+  stats.requests_shed = requests_shed_.Value();
+  stats.deadline_expired = deadline_expired_.Value();
+  stats.invalid_frames = invalid_frames_.Value();
+  stats.requests_rejected_draining = requests_rejected_draining_.Value();
+  return stats;
 }
 
 // ----------------------------------------------------------------- Drain

@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/impliance.h"
+#include "obs/metrics.h"
 #include "server/wire_protocol.h"
 
 namespace impliance::server {
@@ -41,6 +42,7 @@ struct ServerOptions {
   std::function<void(const wire::Request&)> pre_execute_hook;
 };
 
+// Snapshot of one server's serving counters (see GetServingStats).
 struct ServingStats {
   uint64_t connections_accepted = 0;
   uint64_t requests_admitted = 0;
@@ -125,8 +127,16 @@ class ImplianceServer {
   mutable std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
 
-  mutable std::mutex stats_mutex_;
-  ServingStats stats_;
+  // Serving counters, one set per server (not in the process registry) so
+  // every server in a process counts only its own traffic. Lock-free:
+  // Dispatch bumps them on every request.
+  obs::Counter connections_accepted_;
+  obs::Counter requests_admitted_;
+  obs::Counter requests_completed_;
+  obs::Counter requests_shed_;
+  obs::Counter deadline_expired_;
+  obs::Counter invalid_frames_;
+  obs::Counter requests_rejected_draining_;
 
   std::mutex shutdown_mutex_;  // serializes Shutdown()
   std::mutex done_mutex_;

@@ -62,19 +62,6 @@ const char* OpName(Op op) {
   return "unknown";
 }
 
-const char* WireStatusName(WireStatus status) {
-  switch (status) {
-    case WireStatus::kOk: return "OK";
-    case WireStatus::kError: return "ERROR";
-    case WireStatus::kNotFound: return "NOT_FOUND";
-    case WireStatus::kInvalidRequest: return "INVALID_REQUEST";
-    case WireStatus::kOverloaded: return "OVERLOADED";
-    case WireStatus::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
-    case WireStatus::kShuttingDown: return "SHUTTING_DOWN";
-  }
-  return "unknown";
-}
-
 void EncodeRequest(const Request& request, std::string* dst) {
   std::string body;
   body.push_back(static_cast<char>(kWireVersion));

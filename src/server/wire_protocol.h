@@ -90,7 +90,6 @@ enum class WireStatus : uint8_t {
 };
 
 const char* OpName(Op op);
-const char* WireStatusName(WireStatus status);
 
 struct Request {
   Op op = Op::kPing;
@@ -117,7 +116,8 @@ struct SearchResult {
   friend bool operator==(const SearchResult&, const SearchResult&) = default;
 };
 
-// Per-op serving latency, extracted server-side from a Histogram.
+// Per-op serving latency, read server-side from a bounded registry
+// histogram (quantiles are bucket upper bounds).
 struct OpLatency {
   std::string op;
   uint64_t count = 0;

@@ -23,8 +23,6 @@ class BloomFilter {
 
   void Serialize(std::string* dst) const;
 
-  size_t bit_count() const { return bits_.size() * 8; }
-
  private:
   BloomFilter() = default;
 

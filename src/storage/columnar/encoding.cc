@@ -43,20 +43,6 @@ void AppendNullBitmap(const std::vector<model::Value>& values, size_t begin,
 
 }  // namespace
 
-const char* EncodingName(Encoding encoding) {
-  switch (encoding) {
-    case Encoding::kPlain:
-      return "plain";
-    case Encoding::kRle:
-      return "rle";
-    case Encoding::kDict:
-      return "dict";
-    case Encoding::kDelta:
-      return "delta";
-  }
-  return "?";
-}
-
 void EncodeBlock(Encoding encoding, const std::vector<model::Value>& values,
                  size_t begin, size_t end,
                  const std::vector<model::Value>& dict, std::string* out) {

@@ -35,8 +35,6 @@ enum class Encoding : uint8_t {
   kDelta = 3,
 };
 
-const char* EncodingName(Encoding encoding);
-
 // Appends the block payload for values[begin, end) of one column.
 // kDict requires `dict` (sorted, binary-searchable) to contain every
 // non-null value in the range; other encodings ignore it.

@@ -211,7 +211,6 @@ Result<model::Document> SegmentReader::Get(const VersionKey& key) {
   if (flag == 1) {
     IMPLIANCE_ASSIGN_OR_RETURN(decompressed, LzDecompress(payload));
     doc_bytes = decompressed;
-    ++compressed_records_;
   }
   model::Document doc;
   if (!model::Document::Decode(doc_bytes, &doc)) {

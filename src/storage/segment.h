@@ -91,7 +91,6 @@ class SegmentReader {
 
   uint64_t segment_id() const { return segment_id_; }
   size_t num_docs() const { return keys_.size(); }
-  uint64_t compressed_records() const { return compressed_records_; }
 
  private:
   struct Extent {
@@ -113,7 +112,6 @@ class SegmentReader {
   std::vector<VersionKey> keys_;          // sorted
   std::vector<Extent> extents_;           // parallel to keys_
   std::mutex io_mutex_;                   // serializes fseek+fread pairs
-  uint64_t compressed_records_ = 0;
 };
 
 }  // namespace impliance::storage

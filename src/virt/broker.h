@@ -37,7 +37,6 @@ class Broker {
                                   cluster::NodeKind kind);
 
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
 
  private:
   std::optional<uint32_t> AcquireFlat(ResourceGroup* requester,

@@ -19,14 +19,6 @@ void ResourceGroup::AddResource(uint32_t id, cluster::NodeKind kind) {
   resources_.push_back(Resource{id, kind, false});
 }
 
-bool ResourceGroup::RemoveResource(uint32_t id) {
-  auto it = std::find_if(resources_.begin(), resources_.end(),
-                         [id](const Resource& r) { return r.id == id; });
-  if (it == resources_.end()) return false;
-  resources_.erase(it);
-  return true;
-}
-
 std::optional<uint32_t> ResourceGroup::AllocateLocal(cluster::NodeKind kind) {
   for (Resource& resource : resources_) {
     if (resource.kind == kind && !resource.in_use) {

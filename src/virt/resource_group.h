@@ -38,7 +38,6 @@ class ResourceGroup {
 
   // Leaf-only resource management.
   void AddResource(uint32_t id, cluster::NodeKind kind);
-  bool RemoveResource(uint32_t id);
 
   // Takes a free local resource (marks it in-use); nullopt if none free.
   std::optional<uint32_t> AllocateLocal(cluster::NodeKind kind);

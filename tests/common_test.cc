@@ -8,7 +8,6 @@
 
 #include "common/coding.h"
 #include "common/hash.h"
-#include "common/histogram.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -317,34 +316,6 @@ TEST_P(CodingPropertyTest, RandomVarintsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodingPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// ---------------------------------------------------------------- Histogram
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Add(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
-  EXPECT_DOUBLE_EQ(h.Min(), 1);
-  EXPECT_DOUBLE_EQ(h.Max(), 100);
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 50);
-  EXPECT_DOUBLE_EQ(h.Percentile(99), 99);
-  EXPECT_DOUBLE_EQ(h.Percentile(100), 100);
-}
-
-TEST(HistogramTest, EmptyIsZero) {
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.Mean(), 0);
-  EXPECT_DOUBLE_EQ(h.Percentile(99), 0);
-}
-
-TEST(HistogramTest, AddAfterPercentileStillSorted) {
-  Histogram h;
-  h.Add(5);
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 5);
-  h.Add(1);
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 1);
-}
 
 // ---------------------------------------------------------------- ThreadPool
 

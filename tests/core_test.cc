@@ -73,6 +73,33 @@ TEST(ImplianceTest, InfuseAnythingAndSearchImmediately) {
   EXPECT_EQ(impliance->GetStats().admin_steps, 0u);
 }
 
+// k=0 asks for nothing: no hits and an audit entry naming no documents,
+// on a single node and through the scale-out tier alike.
+TEST(ImplianceTest, SearchWithZeroLimitReturnsNoHits) {
+  for (size_t nodes : {0u, 4u}) {
+    SCOPED_TRACE("data nodes: " + std::to_string(nodes));
+    TempDir dir("search_k0_" + std::to_string(nodes));
+    auto opened = Impliance::Open(
+        {.data_dir = dir.path(), .scale_out_data_nodes = nodes});
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto impliance = std::move(opened).value();
+    ASSERT_TRUE(impliance
+                    ->InfuseContent("ticket",
+                                    "id,text\n1,refund is late\n"
+                                    "2,second refund request\n")
+                    .ok());
+    EXPECT_EQ(impliance->Search("refund", 10).size(), 2u);
+    EXPECT_EQ(impliance->Search("refund", 1).size(), 1u);
+    EXPECT_TRUE(impliance->Search("refund", 0).empty());
+    EXPECT_TRUE(impliance->SearchField("/doc/text", "refund", 0).empty());
+    const auto entries =
+        impliance->audit_log().ByPrincipal(AccessController::kAdmin);
+    ASSERT_EQ(entries.size(), 4u);
+    EXPECT_TRUE(entries[2].docs_accessed.empty());
+    EXPECT_TRUE(entries[3].docs_accessed.empty());
+  }
+}
+
 TEST(ImplianceTest, SqlOverInferredViews) {
   TempDir dir("sql");
   auto impliance = OpenAt(dir.path());

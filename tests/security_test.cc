@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/impliance.h"
 
@@ -111,6 +113,53 @@ TEST(ImplianceSecurityTest, SearchFilteredByPrincipal) {
   // Unknown principal is rejected outright.
   EXPECT_TRUE(impliance->SearchAs("nobody", "salary", 10)
                   .status().IsInvalidArgument());
+}
+
+// One hit loop serves both tiers, so the principal filter must hold on the
+// scale-out branch too: every hit is readable, the count is min(k, readable
+// matches), and the audit entry lists exactly the returned ids.
+TEST(ImplianceSecurityTest, SearchAsFiltersOnSingleNodeAndScaleOut) {
+  constexpr size_t kReadable = 12;
+  for (size_t nodes : {0u, 4u}) {
+    SCOPED_TRACE("data nodes: " + std::to_string(nodes));
+    TempDir dir("search_as_" + std::to_string(nodes));
+    auto opened = Impliance::Open({.data_dir = dir.path(),
+                                   .scale_out_data_nodes = nodes,
+                                   .scale_out_replication = 2});
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto impliance = std::move(opened).value();
+    for (size_t i = 0; i < kReadable; ++i) {
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(impliance
+                      ->Infuse(MakeTextDocument(
+                          "hr_review", "", "confidential salary memo " + n))
+                      .ok());
+      ASSERT_TRUE(impliance
+                      ->Infuse(MakeTextDocument(
+                          "newsletter", "", "public salary survey " + n))
+                      .ok());
+    }
+    impliance->access_control().CreatePrincipal("intern");
+    ASSERT_TRUE(
+        impliance->access_control().GrantRead("intern", "newsletter").ok());
+
+    for (size_t k : {0u, 1u, 5u, 12u, 20u}) {
+      SCOPED_TRACE("k = " + std::to_string(k));
+      auto hits = impliance->SearchAs("intern", "salary", k);
+      ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+      EXPECT_EQ(hits->size(), std::min(k, kReadable));
+      std::vector<model::DocId> returned;
+      for (const SearchHit& hit : *hits) {
+        EXPECT_TRUE(impliance->access_control().CanRead("intern", hit.kind))
+            << hit.kind;
+        returned.push_back(hit.doc);
+      }
+      const auto entries = impliance->audit_log().ByPrincipal("intern");
+      ASSERT_FALSE(entries.empty());
+      EXPECT_EQ(entries.back().interface, "keyword");
+      EXPECT_EQ(entries.back().docs_accessed, returned);
+    }
+  }
 }
 
 TEST(ImplianceSecurityTest, SqlDeniedOnUnreadableKind) {

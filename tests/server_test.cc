@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,6 +154,15 @@ TEST_F(ServerTest, IngestGetSearchStatsRoundTrip) {
   }
   EXPECT_GE(documents, 2u);
   EXPECT_GE(completed, 4u);
+  // Every ServingStats field ships under its own name.
+  std::set<std::string> names;
+  for (const auto& [name, value] : stats->counters) names.insert(name);
+  for (const char* name :
+       {"connections_accepted", "requests_admitted", "requests_completed",
+        "requests_shed", "deadline_expired", "invalid_frames",
+        "requests_rejected_draining"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
   // Per-op latency percentiles are tracked server-side and shipped back.
   bool saw_ingest_latency = false;
   for (const auto& latency : stats->op_latencies) {
@@ -163,6 +173,20 @@ TEST_F(ServerTest, IngestGetSearchStatsRoundTrip) {
     }
   }
   EXPECT_TRUE(saw_ingest_latency);
+}
+
+TEST_F(ServerTest, SearchWithZeroLimitReturnsNoHits) {
+  StartServer();
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Ingest("ticket", "id,text\n1,refund is late\n").ok());
+
+  auto some = client->Search("refund", 10);
+  ASSERT_TRUE(some.ok()) << some.status().ToString();
+  EXPECT_EQ(some->size(), 1u);
+  auto none = client->Search("refund", 0);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none->empty());
 }
 
 TEST_F(ServerTest, ExplainShipsStructuredPlanOverTheWire) {

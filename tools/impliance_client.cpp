@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/histogram.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 
 using impliance::server::ClientOptions;
@@ -74,14 +74,14 @@ int RunLoad(const ClientOptions& base, int requests, int connections) {
   if (requests <= 0 || connections <= 0) return Usage();
   std::vector<std::thread> threads;
   std::mutex merge_mutex;
-  impliance::Histogram merged;
+  impliance::obs::HistogramSnapshot merged;
   int total_errors = 0;
   const int per_client = requests / connections;
 
   impliance::Stopwatch wall;
   for (int c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
-      impliance::Histogram local;
+      impliance::obs::BoundedHistogram local;
       int errors = 0;
       auto connected = ImplianceClient::Connect(base);
       if (!connected.ok()) {
@@ -106,7 +106,7 @@ int RunLoad(const ClientOptions& base, int requests, int connections) {
       }
       std::lock_guard<std::mutex> lock(merge_mutex);
       total_errors += errors;
-      merged.Merge(local);
+      merged.Merge(local.Snapshot());
     });
   }
   for (auto& thread : threads) thread.join();
