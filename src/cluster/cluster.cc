@@ -304,11 +304,10 @@ size_t SimulatedCluster::num_documents() const {
 }
 
 std::shared_ptr<const SimulatedCluster::OwnershipSnapshot>
-SimulatedCluster::OwnershipByNode(size_t* orphaned) const {
+SimulatedCluster::OwnershipByNode() const {
   std::lock_guard<std::mutex> lock(directory_mutex_);
   if (ownership_cache_ == nullptr) {
     auto snapshot = std::make_shared<OwnershipSnapshot>();
-    size_t orphan_count = 0;
     for (const auto& [id, entry] : directory_) {
       bool owned = false;
       for (const Holder& holder : entry.holders) {
@@ -319,18 +318,17 @@ SimulatedCluster::OwnershipByNode(size_t* orphaned) const {
           break;  // first valid holder owns the doc for queries
         }
       }
-      if (!owned) ++orphan_count;
+      if (!owned) snapshot->orphans.push_back(id);
     }
     ownership_cache_ = snapshot;
-    orphaned_docs_ = orphan_count;
   }
-  if (orphaned != nullptr) *orphaned = orphaned_docs_;
   return ownership_cache_;
 }
 
 std::vector<SimulatedCluster::PartitionAssignment>
 SimulatedCluster::RerouteLost(const std::vector<PartitionAssignment>& lost,
-                              ShipStats* stats) const {
+                              ShipStats* stats,
+                              std::vector<model::DocId>* missing) const {
   std::map<NodeId, std::set<model::DocId>> regrouped;
   std::map<NodeId, uint64_t> epochs;
   std::lock_guard<std::mutex> lock(directory_mutex_);
@@ -361,6 +359,7 @@ SimulatedCluster::RerouteLost(const std::vector<PartitionAssignment>& lost,
         // unrecoverable and must be reported, not silently omitted.
         ++stats->missing_partitions;
         stats->degraded = true;
+        if (missing != nullptr) missing->push_back(id);
       }
     }
     if (rerouted_any) ++stats->failovers;
@@ -379,15 +378,18 @@ void SimulatedCluster::ScatterWithFailover(
     const std::function<std::function<void()>(
         NodeId node, std::shared_ptr<const std::set<model::DocId>> docs)>&
         make_task,
-    ShipStats* stats) {
+    ShipStats* stats, std::vector<model::DocId>* missing) {
   obs::ScopedSpan scatter_span("cluster.scatter");
-  size_t orphaned = 0;
-  std::shared_ptr<const OwnershipSnapshot> snapshot = OwnershipByNode(&orphaned);
-  if (orphaned > 0) {
+  std::shared_ptr<const OwnershipSnapshot> snapshot = OwnershipByNode();
+  if (!snapshot->orphans.empty()) {
     // Data already unreachable when the query started: a fully-dead
     // partition produces no failed task, so it must be counted up front.
-    stats->missing_partitions += orphaned;
+    stats->missing_partitions += snapshot->orphans.size();
     stats->degraded = true;
+    if (missing != nullptr) {
+      missing->insert(missing->end(), snapshot->orphans.begin(),
+                      snapshot->orphans.end());
+    }
   }
 
   std::vector<PartitionAssignment> round;
@@ -425,8 +427,10 @@ void SimulatedCluster::ScatterWithFailover(
       const uint64_t expected_epoch = assignment.epoch;
       std::future<TaskOutcome> outcome;
       node->Submit(
-          // The trace rides into the node thread by value: per-node execute
-          // spans record against the request that issued the scatter.
+          // The trace rides into the node thread by value and is attached
+          // while the work runs: per-node execute spans, and the spans the
+          // work opens (index.search), record against the request that
+          // issued the scatter.
           [fn = std::move(fn), micros, stale, stray, node, expected_epoch,
            partition = std::move(partition), docs = assignment.docs,
            trace = obs::CurrentTrace()] {
@@ -443,12 +447,12 @@ void SimulatedCluster::ScatterWithFailover(
             // deletes): any assigned document no longer physically here
             // was migrated away since the ownership snapshot — record it
             // so the coordinator re-routes it through the live directory
-            // instead of serving a hole.
+            // instead of serving a hole. `placed` has the keys of `docs`
+            // and hashes them, so this is O(1) per document.
             for (model::DocId id : *docs) {
-              if (partition->docs.find(id) == partition->docs.end()) {
-                stray->push_back(id);
-              }
+              if (!partition->placed.contains(id)) stray->push_back(id);
             }
+            obs::ScopedTraceAttach attach(trace);
             const uint64_t start = NowMicros();
             fn();
             *micros = NowMicros() - start;
@@ -503,11 +507,15 @@ void SimulatedCluster::ScatterWithFailover(
       // the per-document counts from RerouteLost and orphan detection.
       for (const PartitionAssignment& assignment : lost) {
         stats->missing_partitions += assignment.docs->size();
+        if (missing != nullptr) {
+          missing->insert(missing->end(), assignment.docs->begin(),
+                          assignment.docs->end());
+        }
       }
       stats->degraded = true;
       break;
     }
-    round = RerouteLost(lost, stats);
+    round = RerouteLost(lost, stats, missing);
   }
 }
 
@@ -572,43 +580,32 @@ std::vector<index::InvertedIndex::SearchResult> SimulatedCluster::KeywordSearch(
   return merged;
 }
 
-std::shared_ptr<const std::set<model::DocId>> SimulatedCluster::AvailableDocs(
-    ShipStats* stats) {
+std::shared_ptr<const std::unordered_set<model::DocId>>
+SimulatedCluster::AvailableDocs(ShipStats* stats) {
   ShipStats local_stats;
 
   // Scatter: each owning data node verifies, against its live partition,
-  // which of its assigned documents it can actually serve. Nodes lost
-  // mid-scan fail over like any other scatter; documents the directory
-  // mis-attributed (migrated mid-scan) are re-routed by the scatter's
-  // generic stray-document detection, and anything still unreachable is
-  // counted in the stats rather than silently narrowing the set.
-  std::deque<std::set<model::DocId>> partials;
+  // that it can serve its assigned documents. ScatterWithFailover's epoch
+  // and presence checks are that verification, so the node task itself is
+  // empty. Nodes lost mid-check fail over like any other scatter;
+  // documents the directory mis-attributed (migrated mid-check) are
+  // re-routed by the scatter's stray-document detection, and anything
+  // still unreachable is collected, never silently served.
+  std::vector<model::DocId> missing;
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        partials.emplace_back();
-        std::set<model::DocId>* out = &partials.back();
-        local_stats.bytes_shipped += 8;  // scan-request fan-out
-        return std::function<void()>(
-            [partition, owned = std::move(owned), out] {
-              for (model::DocId id : *owned) {
-                if (partition->docs.count(id)) out->insert(id);
-              }
-            });
+      [&](NodeId, std::shared_ptr<const std::set<model::DocId>>) {
+        local_stats.bytes_shipped += 8;  // check-request fan-out
+        return std::function<void()>([] {});
       },
-      &local_stats);
+      &local_stats, &missing);
 
-  auto merged = std::make_shared<std::set<model::DocId>>();
-  for (const std::set<model::DocId>& partial : partials) {
-    merged->insert(partial.begin(), partial.end());
-  }
-  local_stats.rows_shipped += merged->size();
-  local_stats.bytes_shipped += merged->size() * 8;  // doc-id list gather
-
+  local_stats.rows_shipped += missing.size();
+  local_stats.bytes_shipped += missing.size() * 8;  // missing-id gather
   AccountTraffic(local_stats);
   if (stats != nullptr) *stats = local_stats;
-  return merged;
+  if (missing.empty()) return nullptr;
+  return std::make_shared<const std::unordered_set<model::DocId>>(
+      missing.begin(), missing.end());
 }
 
 SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(

@@ -10,6 +10,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/node.h"
@@ -125,14 +127,20 @@ class SimulatedCluster {
   std::vector<index::InvertedIndex::SearchResult> KeywordSearch(
       const std::string& query, size_t k, ShipStats* stats = nullptr);
 
-  // Failure-aware availability scan: every owning data node reports which
-  // of its documents it can currently serve, with lost partition tasks
-  // failing over to replica holders like any other scatter. The union is
-  // what a distributed facet/SQL query may legitimately read; documents on
-  // unreachable partitions are reported through `stats` (degraded +
-  // missing_partitions) instead of being silently dropped — the mechanism
-  // that extends the complete-or-degraded contract beyond keyword search.
-  std::shared_ptr<const std::set<model::DocId>> AvailableDocs(
+  // Failure-aware availability check: one task per owning data node
+  // verifies its incarnation and the presence of its assigned documents
+  // (ScatterWithFailover's own checks), with lost tasks failing over to
+  // replica holders like any other scatter. Returns the documents in the
+  // directory that the blades cannot serve — orphans with no valid holder,
+  // documents no failover could place, and the final round's residual
+  // losses — or nullptr when every document can be served. A distributed
+  // facet/SQL query reads everything else; the excluded documents are
+  // reported through `stats` (degraded + missing_partitions, which equals
+  // the set's size) instead of being silently dropped — the mechanism that
+  // extends the complete-or-degraded contract beyond keyword search.
+  // Costs O(nodes + missing documents) on the caller, O(1) per assigned
+  // document on the blades.
+  std::shared_ptr<const std::unordered_set<model::DocId>> AvailableDocs(
       ShipStats* stats = nullptr);
 
   // Distributed filter + group-by aggregate over documents of `kind`.
@@ -339,8 +347,10 @@ class SimulatedCluster {
     std::map<model::DocId, model::Document> docs;
     // Placement stamp (placement_clock_ at store time) of each doc's copy,
     // so a migration deletes only the copy it moved, never one a later
-    // re-replication or ingest placed here.
-    std::map<model::DocId, uint64_t> placed;
+    // re-replication or ingest placed here. Has exactly the keys of `docs`
+    // and is never iterated, so it doubles as the O(1) presence probe of
+    // every scatter task.
+    std::unordered_map<model::DocId, uint64_t> placed;
     index::InvertedIndex inverted;
   };
 
@@ -385,37 +395,41 @@ class SimulatedCluster {
   // documents — bounded rounds, after which the loss is recorded in
   // `stats` (degraded + missing_partitions) instead of being silently
   // omitted. Documents that already have no alive holder at snapshot time
-  // are counted as missing up front. A task that executes but finds some
-  // assigned documents physically absent (the balancer migrated them
-  // between snapshot and execution) re-routes exactly those documents
-  // through the live directory instead of silently serving a hole.
-  // Updates tasks/failovers/critical_path_micros in `stats`.
+  // are counted as missing up front. On the node, each task first checks
+  // the node's incarnation, then probes every assigned document in the
+  // partition's `placed` hash map: any document physically absent (the
+  // balancer migrated it between snapshot and execution) is re-routed
+  // through the live directory instead of silently serving a hole. The
+  // request's trace is attached while the task runs, so spans the work
+  // opens on the node land in the request's trace. Every document counted
+  // missing is appended to `missing` when it is non-null. Updates
+  // tasks/failovers/critical_path_micros in `stats`.
   void ScatterWithFailover(
       const std::function<std::function<void()>(
           NodeId node, std::shared_ptr<const std::set<model::DocId>> docs)>&
           make_task,
-      ShipStats* stats);
+      ShipStats* stats, std::vector<model::DocId>* missing = nullptr);
   // Regroups the documents of `lost` assignments by surviving holder
   // (consulting the directory, which DetectFailures has just pruned).
-  // Documents with no alive holder increment stats->missing_partitions.
+  // Documents with no alive holder increment stats->missing_partitions and
+  // are appended to `missing` when it is non-null.
   std::vector<PartitionAssignment> RerouteLost(
-      const std::vector<PartitionAssignment>& lost, ShipStats* stats) const;
+      const std::vector<PartitionAssignment>& lost, ShipStats* stats,
+      std::vector<model::DocId>* missing) const;
   // First valid holder of each document (ownership map), grouped by node.
   // Cached (routing tables change only on ingest/membership events) and
   // rebuilt lazily; returned as a shared snapshot so queries can hold it
   // while node tasks run. `epochs` records each owning node's incarnation
   // at snapshot time — scatter tasks verify it before trusting partition
-  // contents.
+  // contents. `orphans` lists the documents with no valid holder in the
+  // same directory snapshot: data the cluster knows it cannot serve.
   using OwnershipMap = std::map<NodeId, std::set<model::DocId>>;
   struct OwnershipSnapshot {
     OwnershipMap by_node;
     std::map<NodeId, uint64_t> epochs;
+    std::vector<model::DocId> orphans;
   };
-  // When `orphaned` is non-null it receives the number of documents with
-  // no valid holder in the same directory snapshot (consistent with the
-  // returned map).
-  std::shared_ptr<const OwnershipSnapshot> OwnershipByNode(
-      size_t* orphaned = nullptr) const;
+  std::shared_ptr<const OwnershipSnapshot> OwnershipByNode() const;
   void InvalidateOwnershipLocked() const { ownership_cache_.reset(); }
 
   // The key a document routes by: its Mix64 hash (uniform) or its raw id
@@ -473,10 +487,6 @@ class SimulatedCluster {
   std::map<model::DocId, DirEntry> directory_;
   std::set<NodeId> known_dead_;
   mutable std::shared_ptr<const OwnershipSnapshot> ownership_cache_;
-  // Documents with zero alive holders at the time the ownership cache was
-  // built: data the cluster knows it cannot serve. Guarded by
-  // directory_mutex_, refreshed together with ownership_cache_.
-  mutable size_t orphaned_docs_ = 0;
 
   // The partition table: inclusive lower bound of each tablet's
   // routing-key range -> tablet state. Lock order: ptable_mutex_ may be

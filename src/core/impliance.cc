@@ -54,19 +54,19 @@ void ReportHealth(const cluster::ShipStats& ship, QueryHealth* health) {
 }
 
 // Scan of a kind projection; keeps the projection alive while it streams.
-// Under a scale-out availability set the inner stream also carries the
-// hidden doc-id column, and rows whose document the blades cannot serve
-// are dropped before that column is stripped again.
+// Under a scale-out exclusion set the inner stream also carries the hidden
+// doc-id column, and rows whose document the blades cannot serve are
+// dropped before that column is stripped again.
 class ProjectionSource : public exec::BatchSource {
  public:
   ProjectionSource(std::shared_ptr<const query::ColumnarTable> projection,
                    exec::Schema schema, std::vector<int> columns,
-                   std::vector<exec::Predicate> hints, AvailableSet available)
+                   std::vector<exec::Predicate> hints, ExcludedSet excluded)
       : projection_(std::move(projection)),
         schema_(std::move(schema)),
-        available_(std::move(available)) {
+        excluded_(std::move(excluded)) {
     exec::Schema inner_schema = schema_;
-    if (available_ != nullptr) {
+    if (excluded_ != nullptr) {
       const exec::Schema& full = projection_->schema();
       columns.push_back(static_cast<int>(full.size()) - 1);
       inner_schema.AddColumn(full.columns.back());
@@ -78,10 +78,10 @@ class ProjectionSource : public exec::BatchSource {
   const exec::Schema& schema() const override { return schema_; }
   bool NextBatch(exec::RowBatch* batch) override {
     while (inner_->NextBatch(batch)) {
-      if (available_ == nullptr) return true;
+      if (excluded_ == nullptr) return true;
       auto unavailable = [this](const exec::Row& row) {
         const auto id = static_cast<model::DocId>(row.back().int_value());
-        return available_->count(id) == 0;
+        return excluded_->contains(id);
       };
       std::vector<exec::Row>& rows = batch->rows;
       rows.erase(std::remove_if(rows.begin(), rows.end(), unavailable),
@@ -97,7 +97,7 @@ class ProjectionSource : public exec::BatchSource {
  private:
   std::shared_ptr<const query::ColumnarTable> projection_;
   exec::Schema schema_;
-  AvailableSet available_;
+  ExcludedSet excluded_;
   exec::BatchSourcePtr inner_;
 };
 
@@ -115,12 +115,12 @@ class ClassBatchSource : public exec::BatchSource {
 
   ClassBatchSource(exec::Schema schema, std::vector<Member> members,
                    const index::PathIndex* paths,
-                   const storage::DocumentStore* store, AvailableSet available)
+                   const storage::DocumentStore* store, ExcludedSet excluded)
       : schema_(std::move(schema)),
         members_(std::move(members)),
         paths_(paths),
         store_(store),
-        available_(std::move(available)) {
+        excluded_(std::move(excluded)) {
     if (!members_.empty()) docs_ = paths_->KindDocs(members_[0].kind);
   }
 
@@ -137,7 +137,7 @@ class ClassBatchSource : public exec::BatchSource {
         continue;
       }
       const model::DocId id = docs_[cursor_++];
-      if (available_ != nullptr && available_->count(id) == 0) continue;
+      if (excluded_ != nullptr && excluded_->contains(id)) continue;
       Result<model::Document> doc = store_->Get(id);
       if (!doc.ok()) continue;
       exec::Row& row = batch->AppendRow();
@@ -157,7 +157,7 @@ class ClassBatchSource : public exec::BatchSource {
   std::vector<Member> members_;
   const index::PathIndex* paths_;
   const storage::DocumentStore* store_;
-  AvailableSet available_;
+  ExcludedSet excluded_;
   size_t member_ = 0;
   std::span<const model::DocId> docs_;
   size_t cursor_ = 0;
@@ -176,11 +176,11 @@ class ClassBatchSource : public exec::BatchSource {
 class Impliance::DocumentTable : public query::Table {
  public:
   DocumentTable(const Impliance* owner, std::string kind, model::ViewDef view,
-                AvailableSet available)
+                ExcludedSet excluded)
       : owner_(owner),
         kind_(std::move(kind)),
         view_(std::move(view)),
-        available_(std::move(available)) {
+        excluded_(std::move(excluded)) {
     for (const model::ViewColumn& column : view_.columns) {
       schema_.AddColumn(column.name);
     }
@@ -191,8 +191,8 @@ class Impliance::DocumentTable : public query::Table {
 
   bool SupportsZoneMapSkipping() const override { return true; }
 
-  // Answered from the whole projection: under an availability set that is
-  // a superset of the servable rows, which statistics can live with.
+  // Answered from the whole projection: under an exclusion set that is a
+  // superset of the servable rows, which statistics can live with.
   std::optional<query::ColumnSummary> SummarizeColumn(
       int column) const override {
     return owner_->ProjectionFor(kind_, view_)->SummarizeColumn(column);
@@ -229,7 +229,7 @@ class Impliance::DocumentTable : public query::Table {
       std::vector<exec::Predicate> hints) const override {
     return std::make_unique<ProjectionSource>(
         owner_->ProjectionFor(kind_, view_), std::move(schema),
-        std::move(columns), std::move(hints), available_);
+        std::move(columns), std::move(hints), excluded_);
   }
 
  private:
@@ -238,10 +238,11 @@ class Impliance::DocumentTable : public query::Table {
     for (model::DocId id : ids) {
       // Value-index hits may include other kinds sharing the path.
       if (!owner_->paths_.KindContains(kind_, id)) continue;
-      // Documents outside the availability set are on unreachable
-      // partitions; the caller reports them as missing rather than serving
-      // them from the local mirror as if the cluster were healthy.
-      if (available_ != nullptr && available_->count(id) == 0) continue;
+      // Excluded documents are on unreachable partitions (or were never
+      // mirrored); the caller reports the unreachable ones as missing
+      // rather than serving them from the local store as if the cluster
+      // were healthy.
+      if (excluded_ != nullptr && excluded_->contains(id)) continue;
       Result<model::Document> doc = owner_->store_->Get(id);
       if (doc.ok()) rows.push_back(model::DocumentToRow(view_, *doc));
     }
@@ -251,7 +252,7 @@ class Impliance::DocumentTable : public query::Table {
   const Impliance* owner_;
   std::string kind_;
   model::ViewDef view_;
-  AvailableSet available_;
+  ExcludedSet excluded_;
   exec::Schema schema_;
 };
 
@@ -260,10 +261,10 @@ class Impliance::DocumentTable : public query::Table {
 class Impliance::ClassTable : public query::Table {
  public:
   ClassTable(const Impliance* owner, discovery::SchemaClass schema_class,
-             AvailableSet available)
+             ExcludedSet excluded)
       : owner_(owner),
         class_(std::move(schema_class)),
-        available_(std::move(available)) {
+        excluded_(std::move(excluded)) {
     schema_ = exec::Schema(class_.attributes);
   }
 
@@ -301,13 +302,13 @@ class Impliance::ClassTable : public query::Table {
     }
     return std::make_unique<ClassBatchSource>(
         std::move(schema), std::move(members), &owner_->paths_,
-        owner_->store_.get(), available_);
+        owner_->store_.get(), excluded_);
   }
 
  private:
   const Impliance* owner_;
   discovery::SchemaClass class_;
-  AvailableSet available_;
+  ExcludedSet excluded_;
   exec::Schema schema_;
 };
 
@@ -465,9 +466,13 @@ Result<model::DocId> Impliance::InfuseLocked(model::Document doc) {
   if (scale_out_ != nullptr) {
     // Mirror under the store-assigned id. A failed mirror (no replica
     // acked) is surfaced: the cluster would otherwise silently omit this
-    // document from every scatter-gather answer.
+    // document from every scatter-gather answer. The document stays in
+    // the store and indexes, so queries exclude it by id.
     Result<model::DocId> mirrored = scale_out_->Ingest(doc);
-    if (!mirrored.ok()) return mirrored.status();
+    if (!mirrored.ok()) {
+      unmirrored_.insert(id);
+      return mirrored.status();
+    }
   }
   return id;
 }
@@ -505,6 +510,7 @@ Result<uint32_t> Impliance::Update(model::DocId id, model::Document doc) {
     // Re-mirror so the blades serve the latest version.
     Result<model::DocId> mirrored = scale_out_->Ingest(doc);
     if (!mirrored.ok()) return mirrored.status();
+    unmirrored_.erase(id);
   }
   return version;
 }
@@ -571,9 +577,10 @@ query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query
   // documents whose partitions are down right now. Restrict counts and
   // aggregates to what the blades can actually serve and report the
   // unreachable remainder, instead of answering from ghosts.
+  const ExcludedSet missing = MissingDocs(health);
   query::FacetedQuery restricted = faceted_query;
-  restricted.restrict_to = AvailableDocs(health);
   std::shared_lock<std::shared_mutex> lock(mutex_);
+  restricted.exclude = ExcludedLocked(missing);
   query::FacetedSearch search(&text_index_.global(), &paths_, &facets_,
                               &values_);
   // Facet counts / range buckets / aggregates fan out like a SQL segment.
@@ -620,13 +627,21 @@ size_t Impliance::ChooseDop() const {
       exec::ParallelExecutor::Shared().num_threads(), load);
 }
 
-AvailableSet Impliance::AvailableDocs(QueryHealth* health) const {
+ExcludedSet Impliance::MissingDocs(QueryHealth* health) const {
   if (scale_out_ == nullptr) return nullptr;
   cluster::ShipStats ship;
   obs::ScopedSpan availability_span("core.availability");
-  AvailableSet available = scale_out_->AvailableDocs(&ship);
+  ExcludedSet missing = scale_out_->AvailableDocs(&ship);
   ReportHealth(ship, health);
-  return available;
+  return missing;
+}
+
+ExcludedSet Impliance::ExcludedLocked(ExcludedSet missing) const {
+  if (unmirrored_.empty()) return missing;
+  auto merged = std::make_shared<std::unordered_set<model::DocId>>(
+      unmirrored_.begin(), unmirrored_.end());
+  if (missing != nullptr) merged->insert(missing->begin(), missing->end());
+  return merged;
 }
 
 model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
@@ -677,15 +692,15 @@ std::shared_ptr<const query::ColumnarTable> Impliance::ProjectionFor(
   return table;
 }
 
-query::Catalog Impliance::BuildCatalogLocked(AvailableSet available) const {
+query::Catalog Impliance::BuildCatalogLocked(ExcludedSet excluded) const {
   query::Catalog catalog;
   for (const std::string& kind : paths_.Kinds()) {
     catalog.Register(std::make_shared<DocumentTable>(
-        this, kind, ViewForLocked(kind), available));
+        this, kind, ViewForLocked(kind), excluded));
   }
   for (const discovery::SchemaClass& schema_class : schema_classes_) {
     catalog.Register(
-        std::make_shared<ClassTable>(this, schema_class, available));
+        std::make_shared<ClassTable>(this, schema_class, excluded));
   }
   return catalog;
 }
@@ -750,11 +765,11 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
   // Availability before the scan: with a scale-out tier, table scans may
   // only read documents the blades can serve; the rest is reported through
   // `health` — the same complete-or-degraded contract keyword search has.
-  const AvailableSet available = AvailableDocs(health);
+  const ExcludedSet missing = MissingDocs(health);
   Result<std::vector<exec::Row>> rows =
       [&]() -> Result<std::vector<exec::Row>> {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    query::Catalog catalog = BuildCatalogLocked(available);
+    query::Catalog catalog = BuildCatalogLocked(ExcludedLocked(missing));
     IMPLIANCE_ASSIGN_OR_RETURN(
         std::unique_ptr<query::Planner> planner,
         query::CreatePlanner(planner_name, &stats_cache_));

@@ -8,6 +8,7 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -71,9 +72,11 @@ struct QueryHealth {
   uint64_t missing_partitions = 0;
 };
 
-// The documents a query may read under partial failure of the scale-out
-// tier; nullptr means every document (single node, or nothing lost).
-using AvailableSet = std::shared_ptr<const std::set<model::DocId>>;
+// The documents a query must not read under partial failure of the
+// scale-out tier: those the blades cannot serve, plus those whose mirror
+// no blade acknowledged. nullptr means none (single node, or nothing lost),
+// and then no row is filtered at all.
+using ExcludedSet = std::shared_ptr<const std::unordered_set<model::DocId>>;
 
 struct DiscoveryReport {
   size_t documents_annotated = 0;
@@ -279,9 +282,9 @@ class Impliance {
   // built on first use. Caller holds mutex_ (shared suffices).
   std::shared_ptr<const query::ColumnarTable> ProjectionFor(
       const std::string& kind, const model::ViewDef& view) const;
-  // `available` (optional) restricts every table to that document set —
-  // the scale-out tier's availability scan under partial failure.
-  query::Catalog BuildCatalogLocked(AvailableSet available = nullptr) const;
+  // `excluded` (optional) drops that document set from every table — the
+  // scale-out tier's availability check under partial failure.
+  query::Catalog BuildCatalogLocked(ExcludedSet excluded = nullptr) const;
   // The one loop that turns ranked index hits into answers: fetches each
   // body, drops kinds `principal` may not read, stops at `k` hits, and
   // audits the query under `interface` with exactly the returned ids.
@@ -294,9 +297,14 @@ class Impliance {
   // rule over the shared executor's workers, with queued background
   // discovery as grid load, so a busy appliance degrades to serial.
   size_t ChooseDop() const;
-  // What the scale-out tier can serve right now (nullptr on a single node),
-  // reporting the unreachable remainder through `health`.
-  AvailableSet AvailableDocs(QueryHealth* health) const;
+  // What the blades cannot serve right now (nullptr on a single node, or
+  // when every document can be served), reporting it through `health`.
+  // Takes no lock of ours.
+  ExcludedSet MissingDocs(QueryHealth* health) const;
+  // `missing` plus the documents whose mirror failed: what a query must not
+  // read. Caller holds mutex_ (shared suffices) from this call until the
+  // query has read, so no write can store a document in between.
+  ExcludedSet ExcludedLocked(ExcludedSet missing) const;
   std::string LabelFor(model::DocId id) const;
 
   ImplianceOptions options_;
@@ -322,6 +330,11 @@ class Impliance {
   std::vector<discovery::SchemaClass> schema_classes_;
   // Entity-resolution merges already recorded (doc pairs).
   std::set<std::pair<model::DocId, model::DocId>> merged_entities_;
+  // Documents stored and indexed here whose mirror no blade acknowledged:
+  // the scale-out tier has no directory entry for them, so queries exclude
+  // them. A later successful re-mirror (Update) removes the id. Guarded by
+  // mutex_.
+  std::unordered_set<model::DocId> unmirrored_;
 
   // Per-kind SQL state. Queries fill it lazily under the shared mutex_,
   // so it has a lock of its own; ingest appends to projections (and

@@ -45,11 +45,11 @@ FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
 
   // 2b. Availability restriction: drop candidates the caller knows it
   // cannot legitimately serve, before any counting happens.
-  if (query.restrict_to != nullptr) {
+  if (query.exclude != nullptr) {
     candidates.erase(
         std::remove_if(candidates.begin(), candidates.end(),
                        [&query](model::DocId doc) {
-                         return query.restrict_to->count(doc) == 0;
+                         return query.exclude->contains(doc);
                        }),
         candidates.end());
   }

@@ -3,8 +3,8 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "index/facet_index.h"
@@ -37,12 +37,12 @@ struct FacetedQuery {
   // ("sum", "avg", "min", "max", "count").
   std::vector<std::pair<std::string, std::string>> aggregates;
   size_t top_k = 10;
-  // When set, only these documents may contribute to the result — the
-  // caller's availability set under partial cluster failure. Documents
-  // outside it are excluded from candidates, facet counts, and aggregates
-  // (the caller reports them as missing rather than silently including a
-  // locally-cached ghost of an unreachable partition).
-  std::shared_ptr<const std::set<model::DocId>> restrict_to;
+  // When set, these documents may not contribute to the result — the
+  // caller's exclusion set under partial cluster failure. They are dropped
+  // from candidates, facet counts, and aggregates (the caller reports them
+  // as missing rather than silently including a locally-cached ghost of an
+  // unreachable partition).
+  std::shared_ptr<const std::unordered_set<model::DocId>> exclude;
 };
 
 struct FacetedResult {

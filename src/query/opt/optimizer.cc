@@ -466,9 +466,10 @@ Result<Optimized> Optimize(const SelectStatement& stmt, const Catalog& catalog,
 
 // Materializes one table's access path with local predicates applied:
 // index fetch or pruned scan, then residual predicate evaluation in place.
-// `node` receives the access (+ filter) subtree.
+// `node` (optional; the parallel path has no explain tree) receives the
+// access (+ filter) subtree.
 std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
-                                        const CostParams& params, Node* node) {
+                                        Node* node) {
   const TablePhysical& phys = opt.phys[t];
   const TableLogical& local = opt.locals[t];
   const BoundTable& bound = opt.bound[t];
@@ -484,10 +485,13 @@ std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
     consumed = fetch.consumed;
     rows = std::move(fetch.rows);
     PruneRows(bound, &rows);
-    *node = Node{pred.op == exec::CompareOp::kEq ? "IndexLookup" : "IndexRange",
-                 table->table_name() + "." + column_name, phys.fetch_rows,
-                 phys.access_cost,
-                 {}};
+    if (node != nullptr) {
+      *node = Node{pred.op == exec::CompareOp::kEq ? "IndexLookup"
+                                                   : "IndexRange",
+                   table->table_name() + "." + column_name, phys.fetch_rows,
+                   phys.access_cost,
+                   {}};
+    }
   } else {
     // Every local predicate rides along as a scan hint: zone-mapped
     // backends skip refuted blocks, everyone else ignores them. The
@@ -497,11 +501,13 @@ std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
       hints.push_back(exec::Predicate{pred.column, pred.op, pred.literal});
     }
     rows = bound.ScanKept(hints);
-    *node = Node{table->SupportsZoneMapSkipping() && !hints.empty()
-                     ? "ColumnarScan"
-                     : "Scan",
-                 table->table_name(), phys.fetch_rows, phys.access_cost,
-                 {}};
+    if (node != nullptr) {
+      *node = Node{table->SupportsZoneMapSkipping() && !hints.empty()
+                       ? "ColumnarScan"
+                       : "Scan",
+                   table->table_name(), phys.fetch_rows, phys.access_cost,
+                   {}};
+    }
   }
 
   std::vector<exec::Predicate> residual;
@@ -511,23 +517,24 @@ std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
     const LocalPredicate& pred = local.predicates[i];
     residual.push_back(exec::Predicate{bound.KeptIndexOf(pred.column), pred.op,
                                        pred.literal});
+    if (node == nullptr) continue;
     if (!label.empty()) label += " AND ";
     label += PredicateLabel(table->schema().columns[pred.column], pred.op,
                             pred.literal);
   }
-  if (!residual.empty()) {
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [&](const exec::Row& row) {
-                                return !exec::EvalAll(residual, row);
-                              }),
-               rows.end());
+  if (residual.empty()) return rows;
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [&](const exec::Row& row) {
+                              return !exec::EvalAll(residual, row);
+                            }),
+             rows.end());
+  if (node != nullptr) {
     Node filter{"Filter", label, phys.est_rows,
                 phys.fetch_rows * 0.1 * static_cast<double>(residual.size()),
                 {}};
     filter.children.push_back(std::move(*node));
     *node = std::move(filter);
   }
-  (void)params;
   return rows;
 }
 
@@ -670,7 +677,7 @@ Result<PlanResult> CostAwarePlanner::Plan(const SelectStatement& stmt,
   // Driver access.
   Node chain_node;
   std::vector<exec::Row> driver_rows =
-      MaterializeTable(opt, opt.driver, params_, &chain_node);
+      MaterializeTable(opt, opt.driver, &chain_node);
   exec::OperatorPtr plan = std::make_unique<exec::RowSourceOp>(
       opt.bound[opt.driver].schema, std::move(driver_rows));
   Layout layout;
@@ -727,7 +734,7 @@ Result<PlanResult> CostAwarePlanner::Plan(const SelectStatement& stmt,
     } else {
       Node build_node;
       std::vector<exec::Row> build_rows =
-          MaterializeTable(opt, step.table, params_, &build_node);
+          MaterializeTable(opt, step.table, &build_node);
       auto build = std::make_unique<exec::RowSourceOp>(right.schema,
                                                        std::move(build_rows));
       const int right_key = right.KeptIndexOf(step.new_column);
@@ -802,9 +809,8 @@ Result<std::optional<ParallelPlan>> CostAwarePlanner::PlanParallel(
       ResolveUpper(stmt, resolver, /*consumed_predicates=*/{},
                    /*filter_order=*/{}, /*adaptive_filter=*/false));
 
-  Node scratch;
   std::vector<exec::Row> driver_rows =
-      MaterializeTable(opt, opt.driver, params_, &scratch);
+      MaterializeTable(opt, opt.driver, /*node=*/nullptr);
 
   Layout layout;
   layout.AppendTable(opt.bound[opt.driver], opt.driver);
@@ -813,7 +819,7 @@ Result<std::optional<ParallelPlan>> CostAwarePlanner::PlanParallel(
   for (const JoinStep& step : opt.steps) {
     const BoundTable& right = opt.bound[step.table];
     std::vector<exec::Row> build_rows =
-        MaterializeTable(opt, step.table, params_, &scratch);
+        MaterializeTable(opt, step.table, /*node=*/nullptr);
     exec::RowSourceOp build(right.schema, std::move(build_rows));
     probes.push_back(planning::SharedProbe{
         exec::JoinHashTable::Build(&build, right.KeptIndexOf(step.new_column)),

@@ -12,6 +12,7 @@
 #include "cluster/scheduler.h"
 #include "discovery/pattern_annotator.h"
 #include "model/document.h"
+#include "obs/trace.h"
 
 namespace impliance::cluster {
 namespace {
@@ -124,6 +125,37 @@ TEST(ClusterTest, KeywordSearchFindsAcrossPartitions) {
   for (const auto& hit : hits) got.insert(hit.doc);
   EXPECT_EQ(got, std::set<model::DocId>(needle_ids.begin(), needle_ids.end()));
   EXPECT_GT(stats.tasks, 1u);
+}
+
+// Blade work runs on node threads; the request's trace rides into each
+// task, so the data nodes' index.search spans land in the caller's trace
+// next to the per-node execute spans.
+TEST(ClusterTest, TracedKeywordSearchRecordsBladeIndexSpans) {
+  SimulatedCluster cluster({.num_data_nodes = 4, .num_grid_nodes = 2});
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(cluster
+                    .Ingest(MakeTextDocument("note", "",
+                                             "traced blade search " +
+                                                 std::to_string(i)))
+                    .ok());
+  }
+  obs::TracePtr trace = obs::StartTrace("search");
+  {
+    obs::ScopedTraceAttach attach(trace);
+    EXPECT_EQ(cluster.KeywordSearch("blade", 10).size(), 10u);
+  }
+  obs::FinishTrace(trace);
+  size_t index_spans = 0;
+  size_t execute_spans = 0;
+  for (const obs::FinishedTrace& finished : obs::RecentTraces(16)) {
+    if (finished.trace_id != trace->trace_id()) continue;
+    for (const obs::Span& span : finished.spans) {
+      if (span.name == "index.search") ++index_spans;
+      if (span.name.ends_with(".execute")) ++execute_spans;
+    }
+  }
+  EXPECT_EQ(execute_spans, 4u);
+  EXPECT_EQ(index_spans, 4u);
 }
 
 TEST(ClusterTest, FilterAggregatePushdownMatchesNoPushdown) {
@@ -587,9 +619,11 @@ TEST(PartitionTableTest, ConcurrentMigrationNeverSilentlyPartial) {
     EXPECT_FALSE(stats.degraded) << "query " << i;
     EXPECT_EQ(hits.size(), 60u) << "query " << i;
     ShipStats avail_stats;
-    const auto available = cluster.AvailableDocs(&avail_stats);
+    const auto missing = cluster.AvailableDocs(&avail_stats);
     EXPECT_FALSE(avail_stats.degraded) << "query " << i;
-    EXPECT_EQ(available->size(), 60u) << "query " << i;
+    EXPECT_EQ(missing, nullptr) << "query " << i;
+    EXPECT_EQ(cluster.num_documents() - (missing ? missing->size() : 0), 60u)
+        << "query " << i;
   }
   stop.store(true);
   mover.join();

@@ -2,17 +2,24 @@
 // projection must yield exactly the rows, in the same order, that reading
 // each document of the kind from the store and projecting it through the
 // kind's view yields — across kinds, ingest after the projection exists,
-// updates, view changes, reopen, and scale-out with a lost blade.
+// updates, view changes, reopen, and scale-out with a lost blade — and, on
+// the scale-out tier, every query interface excludes exactly the documents
+// the cluster's directory says the blades cannot serve.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "common/fault_injector.h"
 #include "core/impliance.h"
 #include "obs/trace.h"
 
@@ -277,9 +284,15 @@ TEST(SqlProjectionTest, ScaleOutWithKilledBladeMatchesAvailableRows) {
   cluster::SimulatedCluster* cluster = impliance->scale_out();
   cluster->FailNode(cluster->data_nodes()[1]->id());
   cluster::ShipStats ship;
-  std::shared_ptr<const std::set<DocId>> available =
+  std::shared_ptr<const std::unordered_set<DocId>> missing =
       cluster->AvailableDocs(&ship);
   ASSERT_TRUE(ship.degraded);
+  ASSERT_NE(missing, nullptr);
+  EXPECT_EQ(missing->size(), ship.missing_partitions);
+  std::set<DocId> available;
+  for (DocId id : impliance->DocsOfKind("order")) {
+    if (!missing->contains(id)) available.insert(id);
+  }
 
   const int order_no = Column(*impliance, "order", "order_no");
   const auto late = [order_no](const exec::Row& row) {
@@ -288,7 +301,7 @@ TEST(SqlProjectionTest, ScaleOutWithKilledBladeMatchesAvailableRows) {
   for (const char* planner : {"cost", "simple"}) {
     QueryHealth health;
     EXPECT_EQ(RunSql(*impliance, "SELECT * FROM order", planner, &health),
-              Oracle(*impliance, "order", available.get()))
+              Oracle(*impliance, "order", &available))
         << planner;
     EXPECT_EQ(health.degraded, ship.degraded);
     EXPECT_EQ(health.missing_partitions, ship.missing_partitions);
@@ -296,10 +309,324 @@ TEST(SqlProjectionTest, ScaleOutWithKilledBladeMatchesAvailableRows) {
     QueryHealth filtered_health;
     EXPECT_EQ(RunSql(*impliance, "SELECT * FROM order WHERE order_no >= 6000",
                      planner, &filtered_health),
-              Oracle(*impliance, "order", available.get(), late))
+              Oracle(*impliance, "order", &available, late))
         << planner;
     EXPECT_EQ(filtered_health.degraded, ship.degraded);
     EXPECT_EQ(filtered_health.missing_partitions, ship.missing_partitions);
+  }
+}
+
+// ------------------------------------------- Scale-out availability suite
+//
+// With a scale-out tier, every query excludes the documents the blades
+// cannot serve and reports them through QueryHealth. The oracle reads the
+// cluster's directory: a document is servable when Get finds it on a valid
+// holder, and the expected missing count is the directory's documents with
+// no valid holder. Documents whose mirror no blade acknowledged have no
+// directory entry; they are excluded without counting as missing.
+
+struct DirectoryOracle {
+  std::set<DocId> servable;  // the order documents the blades can serve
+  QueryHealth health;
+};
+
+DirectoryOracle OracleFromDirectory(const Impliance& impliance,
+                                    cluster::SimulatedCluster* cluster) {
+  DirectoryOracle oracle;
+  for (DocId id : impliance.DocsOfKind("order")) {
+    if (cluster->Get(id).ok()) oracle.servable.insert(id);
+  }
+  const uint64_t missing =
+      cluster->num_documents() - cluster->num_available_documents();
+  oracle.health = QueryHealth{missing > 0, missing};
+  return oracle;
+}
+
+void ExpectHealth(const QueryHealth& got, const QueryHealth& want,
+                  const std::string& what) {
+  EXPECT_EQ(got.degraded, want.degraded) << what;
+  EXPECT_EQ(got.missing_partitions, want.missing_partitions) << what;
+}
+
+// City -> (row count, sum of totals) over `rows` of the order view.
+std::map<std::string, std::pair<double, double>> CityTotals(
+    const Impliance& impliance, const std::vector<exec::Row>& rows) {
+  const int city = Column(impliance, "order", "city");
+  const int total = Column(impliance, "order", "total");
+  std::map<std::string, std::pair<double, double>> totals;
+  for (const exec::Row& row : rows) {
+    auto& [count, sum] = totals[row[city].AsString()];
+    count += 1;
+    sum += row[total].AsDouble();
+  }
+  return totals;
+}
+
+// SQL (both planners at the scheduler's DOP: full scan, GROUP BY, and point
+// lookups through the value index), facet counts and sums, and the
+// exclusion set itself all agree with `oracle`. `unmirrored` lists the order documents
+// whose mirror failed.
+void ExpectMatchesDirectory(Impliance* impliance,
+                            const DirectoryOracle& oracle,
+                            const std::set<DocId>& unmirrored = {}) {
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  cluster::ShipStats ship;
+  const auto missing = cluster->AvailableDocs(&ship);
+  ExpectHealth(QueryHealth{ship.degraded, ship.missing_partitions},
+               oracle.health, "AvailableDocs");
+  EXPECT_EQ(missing == nullptr ? 0 : missing->size(), ship.missing_partitions);
+  for (DocId id : impliance->DocsOfKind("order")) {
+    const bool excluded = missing != nullptr && missing->contains(id);
+    EXPECT_EQ(excluded, !oracle.servable.contains(id) && !unmirrored.contains(id))
+        << "doc " << id;
+  }
+
+  const std::vector<exec::Row> rows =
+      Oracle(*impliance, "order", &oracle.servable);
+  const auto totals = CityTotals(*impliance, rows);
+  const int order_no = Column(*impliance, "order", "order_no");
+  // Point lookups: the first and last servable orders, and every order the
+  // blades cannot serve up to a handful.
+  const auto number_of = [impliance](DocId id) {
+    Result<model::Document> doc = impliance->Get(id);
+    EXPECT_TRUE(doc.ok());
+    return static_cast<int64_t>(
+        model::ResolvePath(doc->root, "/doc/order_no")->AsDouble());
+  };
+  std::vector<int64_t> points;
+  for (DocId id : {*oracle.servable.begin(), *oracle.servable.rbegin()}) {
+    points.push_back(number_of(id));
+  }
+  for (DocId id : impliance->DocsOfKind("order")) {
+    if (oracle.servable.contains(id) || points.size() >= 6) continue;
+    points.push_back(number_of(id));
+  }
+
+  for (const char* planner : {"cost", "simple"}) {
+    // Point queries fetch through the value index, i.e. DocumentTable's
+    // RowsFor, not through a scan.
+    auto explain = impliance->ExplainSql(
+        "SELECT * FROM order WHERE order_no = " + std::to_string(points[0]),
+        planner);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->text.find("IndexLookup"), std::string::npos)
+        << planner << ": " << explain->text;
+    const std::string where = planner;
+    QueryHealth health;
+    auto scan = impliance->Sql("SELECT * FROM order", &health, planner);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(*scan, rows) << where;
+    ExpectHealth(health, oracle.health, "scan " + where);
+
+    auto grouped = impliance->Sql(
+        "SELECT city, COUNT(*), SUM(total) FROM order GROUP BY city",
+        &health, planner);
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    std::map<std::string, std::pair<double, double>> got;
+    for (const exec::Row& row : *grouped) {
+      got[row[0].AsString()] = {row[1].AsDouble(), row[2].AsDouble()};
+    }
+    EXPECT_EQ(got, totals) << where;
+    ExpectHealth(health, oracle.health, "group by " + where);
+
+    for (int64_t number : points) {
+      const auto same = [order_no, number](const exec::Row& row) {
+        return row[order_no].Compare(Value::Int(number)) == 0;
+      };
+      auto point = impliance->Sql(
+          "SELECT * FROM order WHERE order_no = " + std::to_string(number),
+          &health, planner);
+      ASSERT_TRUE(point.ok()) << point.status().ToString();
+      EXPECT_EQ(*point, Oracle(*impliance, "order", &oracle.servable, same))
+          << where << " order_no=" << number;
+      ExpectHealth(health, oracle.health, "point " + where);
+    }
+  }
+
+  query::FacetedQuery facet;
+  facet.kind = "order";
+  facet.facet_paths = {"/doc/city"};
+  facet.aggregates = {{"/doc/total", "sum"}};
+  QueryHealth health;
+  const query::FacetedResult faceted = impliance->Faceted(facet, &health);
+  ExpectHealth(health, oracle.health, "facet");
+  EXPECT_EQ(faceted.total_matches, oracle.servable.size());
+  std::map<std::string, double> counts;
+  for (const auto& count : faceted.facets.at("/doc/city")) {
+    counts[count.value.AsString()] = static_cast<double>(count.count);
+  }
+  std::map<std::string, double> want_counts;
+  double want_sum = 0;
+  for (const auto& [city, count_sum] : totals) {
+    want_counts[city] = count_sum.first;
+    want_sum += count_sum.second;
+  }
+  EXPECT_EQ(counts, want_counts);
+  EXPECT_DOUBLE_EQ(faceted.aggregate_values.at("sum(/doc/total)"), want_sum);
+}
+
+std::unique_ptr<Impliance> OpenBlades(const TempDir& dir, size_t replication) {
+  auto impliance = Open({.data_dir = dir.path(),
+                         .scale_out_data_nodes = 4,
+                         .scale_out_replication = replication});
+  EXPECT_TRUE(impliance->InfuseContent("order", OrdersCsv(0, 5000)).ok());
+  return impliance;
+}
+
+TEST(ScaleOutAvailabilityTest, HealthyReplicationTwoExcludesNothing) {
+  TempDir dir("avail_healthy");
+  auto impliance = OpenBlades(dir, 2);
+  const DirectoryOracle oracle =
+      OracleFromDirectory(*impliance, impliance->scale_out());
+  ASSERT_EQ(oracle.servable.size(), 5000u);
+  ASSERT_FALSE(oracle.health.degraded);
+  EXPECT_EQ(impliance->scale_out()->AvailableDocs(), nullptr);
+  ExpectMatchesDirectory(impliance.get(), oracle);
+}
+
+TEST(ScaleOutAvailabilityTest, KilledBladeAtReplicationOneExcludesItsDocs) {
+  TempDir dir("avail_killed");
+  auto impliance = OpenBlades(dir, 1);
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  // Check once while healthy, so the cached ownership snapshot still names
+  // the victim: the next check loses its task, fails over, and finds no
+  // other holder for the victim's documents.
+  ASSERT_EQ(cluster->AvailableDocs(), nullptr);
+  cluster->FailNode(cluster->data_nodes()[1]->id());
+  const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
+  ASSERT_TRUE(oracle.health.degraded);
+  ASSERT_LT(oracle.servable.size(), 5000u);
+  ExpectMatchesDirectory(impliance.get(), oracle);
+}
+
+TEST(ScaleOutAvailabilityTest, EmptyRejoinLeavesOrphansExcluded) {
+  TempDir dir("avail_rejoin");
+  auto impliance = OpenBlades(dir, 1);
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  // The blade rejoins empty in a new incarnation: its directory entries
+  // name a holder that no longer has the bytes, so those documents are
+  // orphans of the ownership snapshot.
+  const cluster::NodeId victim = cluster->data_nodes()[2]->id();
+  cluster->FailNode(victim);
+  cluster->RecoverNode(victim);
+  const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
+  ASSERT_TRUE(oracle.health.degraded);
+  ASSERT_LT(oracle.servable.size(), 5000u);
+  ExpectMatchesDirectory(impliance.get(), oracle);
+}
+
+TEST(ScaleOutAvailabilityTest, InFlightMigrationExcludesNothing) {
+  TempDir dir("avail_move");
+  auto impliance = OpenBlades(dir, 1);
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
+  ASSERT_EQ(oracle.servable.size(), 5000u);
+  const auto table = cluster->PartitionTable();
+  const cluster::PartitionId pid = table[0].pid;
+  // Shuttle one tablet between blades while every query runs: each check
+  // either finds the bytes on the old home or re-routes the moved
+  // documents to the new one, so nothing is ever excluded.
+  std::atomic<bool> stop{false};
+  std::thread mover([&] {
+    cluster::NodeId from = table[0].replicas[0];
+    while (!stop.load()) {
+      const cluster::NodeId to = (from + 1) % 4;
+      cluster->MovePartitionReplica(pid, from, to);
+      from = to;
+    }
+  });
+  ExpectMatchesDirectory(impliance.get(), oracle);
+  stop.store(true);
+  mover.join();
+  EXPECT_GT(cluster->PartitionTable()[0].epoch, table[0].epoch);
+  EXPECT_TRUE(cluster->CheckIntegrity().ok());
+}
+
+TEST(ScaleOutAvailabilityTest, DocumentWhoseMirrorFailedStaysExcluded) {
+  TempDir dir("avail_mirror");
+  auto impliance = OpenBlades(dir, 2);
+  {
+    // Every replica store is dropped: the core keeps the document, but no
+    // blade acknowledged it, so the write fails and the directory has no
+    // entry for it.
+    ScopedFaultInjection fi(7);
+    fi->Arm("node.submit.drop", 1.0);
+    Result<DocId> id = impliance->Infuse(
+        MakeRecordDocument("order", {{"order_no", Value::Int(9999)},
+                                     {"city", Value::String("paris")},
+                                     {"total", Value::Int(500)}}));
+    EXPECT_FALSE(id.ok());
+  }
+  const std::vector<DocId> orders = impliance->DocsOfKind("order");
+  ASSERT_EQ(orders.size(), 5001u);
+  const DocId unmirrored = orders.back();
+  const DirectoryOracle oracle =
+      OracleFromDirectory(*impliance, impliance->scale_out());
+  ASSERT_FALSE(oracle.servable.contains(unmirrored));
+  ASSERT_FALSE(oracle.health.degraded);
+  ExpectMatchesDirectory(impliance.get(), oracle, {unmirrored});
+}
+
+// Writes whose mirror fails race with queries: a query must never serve a
+// document that no blade acknowledged, even one stored after the query's
+// availability check. With replication 1 and a dead blade, ghost orders
+// routed to its partitions fail to mirror; every ghost a query returns
+// must be one whose write succeeded.
+TEST(ScaleOutAvailabilityTest, ConcurrentFailedMirrorsAreNeverServed) {
+  TempDir dir("avail_mirror_race");
+  auto impliance = OpenBlades(dir, 1);
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  cluster->FailNode(cluster->data_nodes()[1]->id());
+
+  constexpr int kGhosts = 300;
+  std::set<DocId> mirrored_ids;
+  std::set<int64_t> mirrored_numbers;
+  int failed = 0;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kGhosts; ++i) {
+      const int64_t number = 100000 + i;
+      Result<DocId> id = impliance->Infuse(
+          MakeRecordDocument("order", {{"order_no", Value::Int(number)},
+                                       {"city", Value::String("ghost")},
+                                       {"total", Value::Int(1)}}));
+      if (id.ok()) {
+        mirrored_ids.insert(*id);
+        mirrored_numbers.insert(number);
+      } else {
+        ++failed;
+      }
+    }
+    done.store(true);
+  });
+
+  std::set<int64_t> served_numbers;
+  std::set<DocId> served_ids;
+  query::FacetedQuery facet;
+  facet.kind = "order";
+  facet.drilldowns = {{"/doc/city", Value::String("ghost")}};
+  facet.top_k = kGhosts;
+  do {
+    for (const char* planner : {"cost", "simple"}) {
+      auto rows = impliance->Sql(
+          "SELECT order_no FROM order WHERE city = 'ghost'", nullptr, planner);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      for (const exec::Row& row : *rows) {
+        served_numbers.insert(static_cast<int64_t>(row[0].AsDouble()));
+      }
+    }
+    const query::FacetedResult faceted = impliance->Faceted(facet);
+    served_ids.insert(faceted.docs.begin(), faceted.docs.end());
+  } while (!done.load());
+  writer.join();
+
+  ASSERT_GT(failed, 0);
+  ASSERT_GT(mirrored_ids.size(), 0u);
+  for (int64_t number : served_numbers) {
+    EXPECT_TRUE(mirrored_numbers.contains(number)) << "order_no " << number;
+  }
+  for (DocId id : served_ids) {
+    EXPECT_TRUE(mirrored_ids.contains(id)) << "doc " << id;
   }
 }
 
