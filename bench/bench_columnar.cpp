@@ -23,7 +23,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "exec/batch_source.h"
+#include "exec/operators.h"
 #include "exec/predicate.h"
 #include "query/columnar_table.h"
 #include "query/table.h"
@@ -81,8 +81,7 @@ struct SweepResult {
 std::vector<exec::Row> RowPathScan(const query::MemTable& table,
                                    const std::vector<int>& columns,
                                    const std::vector<exec::Predicate>& preds) {
-  exec::BatchSourcePtr source = table.ScanBatches({});
-  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
+  std::vector<exec::Row> rows = exec::Execute(table.ScanBatches({}).get());
   std::vector<exec::Row> out;
   for (exec::Row& row : rows) {
     if (!exec::EvalAll(preds, row)) continue;
@@ -98,17 +97,19 @@ std::vector<exec::Row> ColumnarScan(const query::ColumnarTable& table,
                                     const std::vector<int>& columns,
                                     const std::vector<exec::Predicate>& hints,
                                     bool pass_hints, exec::ScanStats* stats) {
-  exec::BatchSourcePtr source = table.ScanBatches(
+  auto scan = table.ScanBatches(
       columns, pass_hints ? hints : std::vector<exec::Predicate>{});
-  // Hints reference full-schema indices; the drained stream carries only
-  // the projected columns, so re-map the residual predicates.
+  const query::TableScan* source = scan.get();
+  // Hints reference full-schema indices; the scan carries only the
+  // projected columns, so re-map the residual predicates.
   std::vector<exec::Predicate> residual = hints;
   for (exec::Predicate& pred : residual) {
     for (size_t i = 0; i < columns.size(); ++i) {
       if (columns[i] == pred.column) pred.column = static_cast<int>(i);
     }
   }
-  std::vector<exec::Row> out = exec::DrainBatchSource(source.get(), residual);
+  exec::FilterOp filter(std::move(scan), std::move(residual));
+  std::vector<exec::Row> out = exec::Execute(&filter);
   if (stats != nullptr) *stats = source->stats();
   return out;
 }
@@ -163,8 +164,7 @@ DecodeResult RunDecode(const std::string& name,
   r.encoding = name;
   r.encoded_bytes = table.EncodedBytes();
   const auto start = Clock::now();
-  exec::BatchSourcePtr source = table.ScanBatches({});
-  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
+  std::vector<exec::Row> rows = exec::Execute(table.ScanBatches({}).get());
   r.ms = MsSince(start);
   r.mrows_s = static_cast<double>(values.size()) / 1e3 / std::max(0.001, r.ms);
   r.diverged = rows.size() != values.size();

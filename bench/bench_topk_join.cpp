@@ -85,9 +85,8 @@ int main() {
     {
       auto left =
           std::make_unique<exec::RowSourceOp>(left_schema, candidates);
-      exec::BatchSourcePtr scan = customers.ScanBatches({});
       auto right = std::make_unique<exec::RowSourceOp>(
-          customers.schema(), exec::DrainBatchSource(scan.get()));
+          customers.schema(), exec::Execute(customers.ScanBatches({}).get()));
       auto join = std::make_unique<exec::HashJoinOp>(std::move(left),
                                                      std::move(right), 1, 0);
       exec::HashJoinOp* join_ptr = join.get();

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +38,33 @@ constexpr size_t kGroups = 64;
 constexpr size_t kBuildRows = 1024;
 constexpr int kRepeats = 5;
 
+// Leaf over a borrowed row vector with a configurable batch size: the
+// batch-size arms vary it, the DOP sweep claims its batches as morsels.
+class SliceSourceOp : public exec::Operator {
+ public:
+  SliceSourceOp(const Schema* schema, const std::vector<Row>* rows,
+                size_t batch_rows)
+      : schema_(schema), rows_(rows), batch_rows_(batch_rows) {}
+
+  const Schema& schema() const override { return *schema_; }
+  std::string name() const override { return "SliceSource"; }
+  void Open() override { cursor_ = 0; }
+  bool NextBatch(exec::RowBatch* batch) override {
+    batch->clear();
+    const size_t end = std::min(rows_->size(), cursor_ + batch_rows_);
+    for (; cursor_ < end; ++cursor_) batch->AppendCopy((*rows_)[cursor_]);
+    return !batch->empty();
+  }
+  void Close() override {}
+  uint64_t EstimatedRows() const override { return rows_->size(); }
+
+ private:
+  const Schema* schema_;
+  const std::vector<Row>* rows_;
+  size_t batch_rows_;
+  size_t cursor_ = 0;
+};
+
 std::shared_ptr<const std::vector<Row>> MakeFactRows(Rng* rng) {
   auto rows = std::make_shared<std::vector<Row>>();
   rows->reserve(kRows);
@@ -49,13 +77,15 @@ std::shared_ptr<const std::vector<Row>> MakeFactRows(Rng* rng) {
   return rows;
 }
 
-Schema FactSchema() { return Schema{{"id", "grp", "score"}}; }
+const Schema& FactSchema() {
+  static const Schema schema{{"id", "grp", "score"}};
+  return schema;
+}
 
-MorselPlan ScanFilterAggregatePlan(
-    std::shared_ptr<const std::vector<Row>> rows) {
+MorselPlan ScanFilterAggregatePlan(const std::vector<Row>* rows) {
   MorselPlan plan;
-  plan.source_schema = FactSchema();
-  plan.source_rows = std::move(rows);
+  plan.source = std::make_unique<SliceSourceOp>(&FactSchema(), rows,
+                                                exec::kDefaultBatchRows);
   plan.make_pipeline = [](exec::OperatorPtr source) {
     std::vector<Predicate> predicates{
         {2, CompareOp::kGt, Value::Double(1000.0)}};
@@ -68,11 +98,11 @@ MorselPlan ScanFilterAggregatePlan(
   return plan;
 }
 
-MorselPlan JoinPlan(std::shared_ptr<const std::vector<Row>> rows,
+MorselPlan JoinPlan(const std::vector<Row>* rows,
                     std::shared_ptr<const JoinHashTable> table) {
   MorselPlan plan;
-  plan.source_schema = FactSchema();
-  plan.source_rows = std::move(rows);
+  plan.source = std::make_unique<SliceSourceOp>(&FactSchema(), rows,
+                                                exec::kDefaultBatchRows);
   plan.make_pipeline = [table](exec::OperatorPtr source) {
     exec::OperatorPtr probe =
         std::make_unique<exec::HashProbeOp>(std::move(source), table, 0);
@@ -86,12 +116,16 @@ MorselPlan JoinPlan(std::shared_ptr<const std::vector<Row>> rows,
   return plan;
 }
 
-// Best-of-kRepeats wall time for one configuration, in seconds.
-double TimePlan(const MorselPlan& plan, const ExecOptions& options) {
+// Best-of-kRepeats wall time for one configuration, in seconds. Plans are
+// single-use, so each repeat runs a fresh one from `make_plan`.
+double TimePlan(const std::function<MorselPlan()>& make_plan,
+                const ExecOptions& options) {
   double best = 1e30;
   for (int r = 0; r < kRepeats; ++r) {
+    MorselPlan plan = make_plan();
     Stopwatch timer;
-    std::vector<Row> out = ParallelExecutor::Shared().Run(plan, options);
+    std::vector<Row> out =
+        ParallelExecutor::Shared().Run(std::move(plan), options);
     best = std::min(best, timer.ElapsedSeconds());
     if (out.empty()) std::printf("(unexpected empty result)\n");
   }
@@ -99,11 +133,10 @@ double TimePlan(const MorselPlan& plan, const ExecOptions& options) {
 }
 
 // Filter-project pipeline over `rows` with `batch_rows`-row batches.
-exec::OperatorPtr FilterProjectPipeline(
-    const Schema* schema, std::shared_ptr<const std::vector<Row>> rows,
-    size_t batch_rows) {
-  exec::OperatorPtr source = std::make_unique<exec::RowSliceSourceOp>(
-      schema, rows, 0, rows->size(), batch_rows);
+exec::OperatorPtr FilterProjectPipeline(const std::vector<Row>* rows,
+                                        size_t batch_rows) {
+  exec::OperatorPtr source =
+      std::make_unique<SliceSourceOp>(&FactSchema(), rows, batch_rows);
   std::vector<Predicate> predicates{
       {2, CompareOp::kGt, Value::Double(9000.0)},
       {1, CompareOp::kNe, Value::Int(0)}};
@@ -118,10 +151,8 @@ exec::OperatorPtr FilterProjectPipeline(
 // row-at-a-time baseline: one virtual call and one row hand-off per row,
 // the pre-batching Volcano cost model. Single repeat; callers interleave
 // repeats of the variants they compare so host-load drift hits them all.
-double TimeBatchedOnce(const Schema* schema,
-                       std::shared_ptr<const std::vector<Row>> rows,
-                       size_t batch_rows) {
-  exec::OperatorPtr pipeline = FilterProjectPipeline(schema, rows, batch_rows);
+double TimeBatchedOnce(const std::vector<Row>* rows, size_t batch_rows) {
+  exec::OperatorPtr pipeline = FilterProjectPipeline(rows, batch_rows);
   Stopwatch timer;
   std::vector<Row> out = exec::Execute(pipeline.get());
   const double secs = timer.ElapsedSeconds();
@@ -129,12 +160,10 @@ double TimeBatchedOnce(const Schema* schema,
   return secs;
 }
 
-double TimeBatched(const Schema* schema,
-                   std::shared_ptr<const std::vector<Row>> rows,
-                   size_t batch_rows) {
+double TimeBatched(const std::vector<Row>* rows, size_t batch_rows) {
   double best = 1e30;
   for (int r = 0; r < kRepeats; ++r) {
-    best = std::min(best, TimeBatchedOnce(schema, rows, batch_rows));
+    best = std::min(best, TimeBatchedOnce(rows, batch_rows));
   }
   return best;
 }
@@ -146,8 +175,7 @@ struct JsonRow {
   double rows_per_sec = 0;
 };
 
-void WriteJson(const std::string& path, const std::vector<JsonRow>& rows,
-               uint64_t steals) {
+void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::printf("cannot write %s\n", path.c_str());
@@ -156,8 +184,6 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows,
   std::fprintf(f, "{\n  \"bench\": \"vectorized_exec\",\n");
   std::fprintf(f, "  \"rows\": %zu,\n  \"hardware_threads\": %zu,\n", kRows,
                static_cast<size_t>(ParallelExecutor::Shared().num_threads()));
-  std::fprintf(f, "  \"total_steals\": %llu,\n",
-               static_cast<unsigned long long>(steals));
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
@@ -198,11 +224,10 @@ int main(int argc, char** argv) {
     fact = remapped;
   }
   exec::RowSourceOp build_source(build_schema, std::move(build_rows));
-  std::shared_ptr<const JoinHashTable> table =
-      JoinHashTable::Build(&build_source, 0);
+  auto table = std::make_shared<JoinHashTable>(build_schema, 0);
+  table->Build(&build_source);
 
   std::vector<JsonRow> json_rows;
-  uint64_t steals_before = ParallelExecutor::Shared().total_steals();
 
   bench::Banner("BENCH_exec",
                 "vectorized batch execution + morsel-driven parallelism");
@@ -211,22 +236,19 @@ int main(int argc, char** argv) {
 
   // --- Row-at-a-time vs batched, serial ------------------------------
   {
-    Schema fact_schema = FactSchema();
     double row_time = 1e30;
     double batch_time = 1e30;
     // Interleave repeats (alternating order within each pair): best-of
     // cancels host-load drift and heap-state carryover between variants.
     for (int r = 0; r < 2 * kRepeats; ++r) {
       if (r % 2 == 0) {
-        row_time = std::min(row_time, TimeBatchedOnce(&fact_schema, fact, 1));
+        row_time = std::min(row_time, TimeBatchedOnce(fact.get(), 1));
         batch_time = std::min(
-            batch_time,
-            TimeBatchedOnce(&fact_schema, fact, exec::kDefaultBatchRows));
+            batch_time, TimeBatchedOnce(fact.get(), exec::kDefaultBatchRows));
       } else {
         batch_time = std::min(
-            batch_time,
-            TimeBatchedOnce(&fact_schema, fact, exec::kDefaultBatchRows));
-        row_time = std::min(row_time, TimeBatchedOnce(&fact_schema, fact, 1));
+            batch_time, TimeBatchedOnce(fact.get(), exec::kDefaultBatchRows));
+        row_time = std::min(row_time, TimeBatchedOnce(fact.get(), 1));
       }
     }
     bench::TablePrinter table_out({"engine", "rows/s", "speedup"});
@@ -246,15 +268,17 @@ int main(int argc, char** argv) {
   // --- DOP sweep ------------------------------------------------------
   for (const char* name : {"scan_filter_agg", "join_filter_agg"}) {
     const bool is_join = std::strcmp(name, "join_filter_agg") == 0;
-    MorselPlan plan =
-        is_join ? JoinPlan(fact, table) : ScanFilterAggregatePlan(fact);
+    auto make_plan = [&] {
+      return is_join ? JoinPlan(fact.get(), table)
+                     : ScanFilterAggregatePlan(fact.get());
+    };
     std::printf("\n%s pipeline, DOP sweep:\n", name);
     bench::TablePrinter table_out({"dop", "rows/s", "scaling"});
     double dop1 = 0;
     for (size_t dop : {1u, 2u, 4u, 8u}) {
       ExecOptions options;
       options.dop = dop;
-      const double secs = TimePlan(plan, options);
+      const double secs = TimePlan(make_plan, options);
       const double rate = kRows / secs;
       if (dop == 1) dop1 = rate;
       table_out.AddRow({FmtInt(dop), Fmt("%.2e", rate),
@@ -266,21 +290,16 @@ int main(int argc, char** argv) {
 
   // --- Batch-size sweep (serial) --------------------------------------
   {
-    Schema fact_schema = FactSchema();
     std::printf("\nscan-filter-project, batch-size sweep (DOP 1):\n");
     bench::TablePrinter table_out({"batch_rows", "rows/s"});
     for (size_t batch : {128u, 256u, 512u, 1024u, 2048u, 4096u}) {
-      const double rate = kRows / TimeBatched(&fact_schema, fact, batch);
+      const double rate = kRows / TimeBatched(fact.get(), batch);
       table_out.AddRow({FmtInt(batch), Fmt("%.2e", rate)});
       json_rows.push_back({"filter_project_batch_sweep", 1, batch, rate});
     }
     table_out.Print();
   }
 
-  const uint64_t steals =
-      ParallelExecutor::Shared().total_steals() - steals_before;
-  std::printf("\nwork-steal events across all parallel runs: %llu\n",
-              static_cast<unsigned long long>(steals));
-  if (!json_path.empty()) WriteJson(json_path, json_rows, steals);
+  if (!json_path.empty()) WriteJson(json_path, json_rows);
   return 0;
 }

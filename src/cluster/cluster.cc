@@ -91,18 +91,25 @@ uint64_t SimulatedCluster::DocBytes(const model::Document& doc) {
 }
 
 void SimulatedCluster::AccountTraffic(const ShipStats& stats) {
-  std::lock_guard<std::mutex> lock(traffic_mutex_);
-  lifetime_traffic_.bytes_shipped += stats.bytes_shipped;
-  lifetime_traffic_.rows_shipped += stats.rows_shipped;
-  lifetime_traffic_.tasks += stats.tasks;
-  lifetime_traffic_.failovers += stats.failovers;
-  lifetime_traffic_.missing_partitions += stats.missing_partitions;
-  lifetime_traffic_.degraded |= stats.degraded;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  traffic_.bytes_shipped.fetch_add(stats.bytes_shipped, kRelaxed);
+  traffic_.rows_shipped.fetch_add(stats.rows_shipped, kRelaxed);
+  traffic_.tasks.fetch_add(stats.tasks, kRelaxed);
+  traffic_.failovers.fetch_add(stats.failovers, kRelaxed);
+  traffic_.missing_partitions.fetch_add(stats.missing_partitions, kRelaxed);
+  if (stats.degraded) traffic_.degraded.store(true, kRelaxed);
 }
 
 ShipStats SimulatedCluster::lifetime_traffic() const {
-  std::lock_guard<std::mutex> lock(traffic_mutex_);
-  return lifetime_traffic_;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  ShipStats totals;
+  totals.bytes_shipped = traffic_.bytes_shipped.load(kRelaxed);
+  totals.rows_shipped = traffic_.rows_shipped.load(kRelaxed);
+  totals.tasks = traffic_.tasks.load(kRelaxed);
+  totals.failovers = traffic_.failovers.load(kRelaxed);
+  totals.missing_partitions = traffic_.missing_partitions.load(kRelaxed);
+  totals.degraded = traffic_.degraded.load(kRelaxed);
+  return totals;
 }
 
 bool SimulatedCluster::RunOnPool(const std::vector<std::unique_ptr<Node>>& pool,
@@ -1118,10 +1125,8 @@ SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
       if (valid < desired) ++report.docs_unrestored;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(traffic_mutex_);
-    lifetime_traffic_.bytes_shipped += report.bytes_copied;
-  }
+  traffic_.bytes_shipped.fetch_add(report.bytes_copied,
+                                   std::memory_order_relaxed);
   return report;
 }
 
@@ -1456,8 +1461,7 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
   if (!moved.empty()) {
     Metrics().moves->Increment();
     Metrics().docs_moved->Increment(moved.size());
-    std::lock_guard<std::mutex> lock(traffic_mutex_);
-    lifetime_traffic_.bytes_shipped += bytes;
+    traffic_.bytes_shipped.fetch_add(bytes, std::memory_order_relaxed);
   }
   return moved.size();
 }

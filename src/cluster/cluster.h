@@ -516,8 +516,18 @@ class SimulatedCluster {
   std::atomic<uint64_t> lock_acquisitions_{0};
   Scheduler scheduler_;
 
-  mutable std::mutex traffic_mutex_;
-  ShipStats lifetime_traffic_;
+  // Lifetime sums of the ShipStats fields AccountTraffic adds up. Relaxed
+  // atomics: every ingest and scatter-gather accounts, so the hot path
+  // takes no lock; lifetime_traffic() reads each field separately.
+  struct TrafficTotals {
+    std::atomic<uint64_t> bytes_shipped{0};
+    std::atomic<uint64_t> rows_shipped{0};
+    std::atomic<uint64_t> tasks{0};
+    std::atomic<uint64_t> failovers{0};
+    std::atomic<uint64_t> missing_partitions{0};
+    std::atomic<bool> degraded{false};
+  };
+  TrafficTotals traffic_;
 };
 
 }  // namespace impliance::cluster

@@ -28,21 +28,4 @@ bool BorrowedBatchSource::NextBatch(RowBatch* batch) {
   return true;
 }
 
-std::vector<Row> DrainBatchSource(BatchSource* source,
-                                  const std::vector<Predicate>& predicates) {
-  std::vector<Row> rows;
-  const uint64_t estimate = source->EstimatedRows();
-  if (estimate != 0) rows.reserve(estimate);
-  RowBatch batch;
-  while (source->NextBatch(&batch)) {
-    for (Row& row : batch.rows) {
-      if (!predicates.empty() && !EvalAll(predicates, row)) continue;
-      rows.push_back(std::move(row));
-    }
-    // Moved-from rows would poison the batch's recycling pool; start clean.
-    batch.rows.clear();
-  }
-  return rows;
-}
-
 }  // namespace impliance::exec

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "exec/operator.h"
-#include "exec/predicate.h"
 #include "exec/row_batch.h"
 
 namespace impliance::exec {
@@ -26,7 +25,8 @@ struct ScanStats {
 // batch-native boundary between storage and the executor. Unlike Operator
 // it has no Open/Close lifecycle: a source is single-use, positioned at the
 // start when constructed, and carries exactly the projected columns the
-// caller asked for.
+// caller asked for. Plans never hold one directly: the table-scan leaf
+// operator (query::TableScan) creates its source in Open().
 //
 // Sources created with predicate hints may SKIP rows that cannot satisfy
 // them (whole blocks refuted by zone maps), but are never required to
@@ -74,12 +74,6 @@ class BorrowedBatchSource : public BatchSource {
   size_t cursor_ = 0;
   ScanStats stats_;
 };
-
-// Drains a source into a vector. `predicates` (over the SOURCE's projected
-// schema; may be empty) are applied row-wise during the drain, so callers
-// that must re-check hints fold the filter into the same pass.
-std::vector<Row> DrainBatchSource(BatchSource* source,
-                                  const std::vector<Predicate>& predicates = {});
 
 }  // namespace impliance::exec
 

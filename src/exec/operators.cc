@@ -30,17 +30,6 @@ bool RowSourceOp::NextBatch(RowBatch* batch) {
   return true;
 }
 
-bool RowSliceSourceOp::NextBatch(RowBatch* batch) {
-  batch->clear();
-  if (cursor_ >= end_) return false;
-  const size_t end = std::min(end_, cursor_ + batch_rows_);
-  batch->reserve(end - cursor_);
-  const std::vector<Row>& rows = *rows_;
-  for (; cursor_ < end; ++cursor_) batch->AppendCopy(rows[cursor_]);
-  rows_produced_ += batch->size();
-  return true;
-}
-
 // ---------------------------------------------------------------- Filter
 
 FilterOp::FilterOp(OperatorPtr child, std::vector<Predicate> predicates,
@@ -161,25 +150,19 @@ bool ProjectOp::NextBatch(RowBatch* batch) {
 
 // -------------------------------------------------------------- HashJoin
 
-void JoinHashTable::Insert(const Row& row) {
-  const model::Value& key = row[key_column];
-  if (key.is_null()) return;  // nulls never join
-  buckets[key.HashValue()].push_back(row);
-  ++build_rows;
-}
-
-std::shared_ptr<const JoinHashTable> JoinHashTable::Build(Operator* build,
-                                                          int key_column) {
-  auto table = std::make_shared<JoinHashTable>();
-  table->key_column = key_column;
-  table->schema = build->schema();
+void JoinHashTable::Build(Operator* build) {
   build->Open();
   RowBatch batch;
   while (build->NextBatch(&batch)) {
-    for (const Row& row : batch.rows) table->Insert(row);
+    for (Row& row : batch.rows) {
+      const model::Value& key = row[key_column];
+      if (key.is_null()) continue;  // nulls never join
+      const uint64_t hash = key.HashValue();
+      buckets[hash].push_back(std::move(row));
+      ++build_rows;
+    }
   }
   build->Close();
-  return table;
 }
 
 namespace {
@@ -242,7 +225,9 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, int left_key,
 
 void HashJoinOp::Open() {
   left_->Open();
-  table_ = JoinHashTable::Build(right_.get(), right_key_);
+  auto table = std::make_shared<JoinHashTable>(right_->schema(), right_key_);
+  table->Build(right_.get());
+  table_ = std::move(table);
 }
 
 bool HashJoinOp::NextBatch(RowBatch* batch) {

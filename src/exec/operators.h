@@ -34,36 +34,6 @@ class RowSourceOp : public Operator {
   size_t cursor_ = 0;
 };
 
-// Leaf over a shared, immutable row vector: emits rows [begin, end). The
-// morsel-driven executor hands each worker slices of the same base table
-// without copying it per worker.
-class RowSliceSourceOp : public Operator {
- public:
-  RowSliceSourceOp(const Schema* schema,
-                   std::shared_ptr<const std::vector<Row>> rows, size_t begin,
-                   size_t end, size_t batch_rows = kDefaultBatchRows)
-      : schema_(schema),
-        rows_(std::move(rows)),
-        begin_(begin),
-        end_(end),
-        batch_rows_(batch_rows) {}
-
-  const Schema& schema() const override { return *schema_; }
-  std::string name() const override { return "RowSlice"; }
-  void Open() override { cursor_ = begin_; }
-  bool NextBatch(RowBatch* batch) override;
-  void Close() override {}
-  uint64_t EstimatedRows() const override { return end_ - begin_; }
-
- private:
-  const Schema* schema_;  // owned by the plan, outlives the operator
-  std::shared_ptr<const std::vector<Row>> rows_;
-  size_t begin_;
-  size_t end_;
-  size_t batch_rows_;
-  size_t cursor_ = 0;
-};
-
 // Conjunctive filter. With `adaptive` set, predicate evaluation order is
 // re-sorted by observed selectivity every `kAdaptBatch` input rows — the
 // eddies-flavored runtime adaptivity Section 3.3 leans on in place of
@@ -127,20 +97,22 @@ class ProjectOp : public Operator {
   RowBatch input_;
 };
 
-// Immutable build side of a hash equi-join, keyed by value hash with an
-// equality re-check at probe time. Built once, then shared read-only — the
-// morsel-parallel driver probes one table from every worker.
+// Build side of a hash equi-join, keyed by value hash with an equality
+// re-check at probe time. Built once, then shared read-only — the
+// morsel-parallel driver probes one table from every worker. A plan creates
+// the table empty and builds it when it runs, so planning reads no rows.
 struct JoinHashTable {
+  JoinHashTable(Schema build_schema, int key)
+      : key_column(key), schema(std::move(build_schema)) {}
+
   std::unordered_map<uint64_t, std::vector<Row>> buckets;
   size_t build_rows = 0;
-  int key_column = -1;
+  int key_column;
   Schema schema;  // build-side schema
 
-  void Insert(const Row& row);
-  // Drains `build` (Open/NextBatch*/Close) into a table keyed on
-  // `key_column`. Null keys never join and are dropped.
-  static std::shared_ptr<const JoinHashTable> Build(Operator* build,
-                                                    int key_column);
+  // Streams `build` (Open/NextBatch*/Close; its schema is `schema`) into
+  // the table. Null keys never join and are dropped.
+  void Build(Operator* build);
 };
 
 // Probes a shared JoinHashTable with the left child's rows. Output schema =

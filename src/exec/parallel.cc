@@ -1,9 +1,9 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -33,11 +33,40 @@ class CompletionLatch {
   size_t remaining_;
 };
 
-OperatorPtr MakePipeline(const MorselPlan& plan, size_t begin, size_t end) {
-  OperatorPtr source = std::make_unique<RowSliceSourceOp>(
-      &plan.source_schema, plan.source_rows, begin, end);
-  return plan.make_pipeline ? plan.make_pipeline(std::move(source))
-                            : std::move(source);
+// Morsel leaf of a worker's pipeline: emits the batch the worker claimed
+// from the plan's source, once per Open().
+class ClaimedBatchOp : public Operator {
+ public:
+  explicit ClaimedBatchOp(const Schema* schema) : schema_(schema) {}
+
+  const Schema& schema() const override { return *schema_; }
+  std::string name() const override { return "ClaimedBatch"; }
+  void Open() override { pending_ = true; }
+  bool NextBatch(RowBatch* batch) override {
+    if (!pending_) {
+      batch->clear();
+      return false;
+    }
+    pending_ = false;
+    // Swapping hands the consumer's spent rows back for the next claim to
+    // refill, so batch recycling survives the hand-off.
+    std::swap(*batch, claimed_);
+    rows_produced_ += batch->size();
+    return true;
+  }
+  void Close() override {}
+
+  RowBatch* claimed() { return &claimed_; }
+
+ private:
+  const Schema* schema_;  // the plan source's, which outlives the worker
+  RowBatch claimed_;
+  bool pending_ = false;
+};
+
+OperatorPtr MakePipeline(const MorselPlan& plan, OperatorPtr leaf) {
+  return plan.make_pipeline ? plan.make_pipeline(std::move(leaf))
+                            : std::move(leaf);
 }
 
 }  // namespace
@@ -45,8 +74,10 @@ OperatorPtr MakePipeline(const MorselPlan& plan, size_t begin, size_t end) {
 // ------------------------------------------------------------ MorselPlan
 
 Schema MorselPlan::PipelineSchema() const {
-  // Probe with an empty slice: schemas are fixed at construction.
-  return MakePipeline(*this, 0, 0)->schema();
+  // Probe with an empty leaf: schemas are fixed at construction.
+  return MakePipeline(*this, std::make_unique<RowSourceOp>(source->schema(),
+                                                           std::vector<Row>{}))
+      ->schema();
 }
 
 Schema MorselPlan::OutputSchema() const {
@@ -58,72 +89,22 @@ Schema MorselPlan::OutputSchema() const {
   return pipeline_schema;
 }
 
-// ----------------------------------------------------------- MorselQueue
-
-MorselQueue::MorselQueue(size_t total_rows, size_t morsel_rows,
-                         size_t num_workers) {
-  IMPLIANCE_CHECK(morsel_rows > 0 && num_workers > 0);
-  lanes_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-  num_morsels_ = (total_rows + morsel_rows - 1) / morsel_rows;
-  // Deal contiguous runs of morsels to each lane so a worker's own work is
-  // a sequential slice of the base table.
-  const size_t per_lane = (num_morsels_ + num_workers - 1) / num_workers;
-  for (size_t m = 0; m < num_morsels_; ++m) {
-    Morsel morsel;
-    morsel.id = m;
-    morsel.begin = m * morsel_rows;
-    morsel.end = std::min(total_rows, morsel.begin + morsel_rows);
-    lanes_[std::min(m / per_lane, num_workers - 1)]->morsels.push_back(morsel);
-  }
-}
-
-bool MorselQueue::Pop(size_t worker, Morsel* out) {
-  Lane& own = *lanes_[worker];
-  {
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.morsels.empty()) {
-      *out = own.morsels.front();
-      own.morsels.pop_front();
-      return true;
-    }
-  }
-  // Own lane dry: steal from the victim with the most remaining work, from
-  // the back (the part of its range it will reach last).
-  while (true) {
-    size_t victim = lanes_.size();
-    size_t victim_depth = 0;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      if (i == worker) continue;
-      std::lock_guard<std::mutex> lock(lanes_[i]->mutex);
-      if (lanes_[i]->morsels.size() > victim_depth) {
-        victim_depth = lanes_[i]->morsels.size();
-        victim = i;
-      }
-    }
-    if (victim == lanes_.size()) return false;  // everything drained
-    std::lock_guard<std::mutex> lock(lanes_[victim]->mutex);
-    if (lanes_[victim]->morsels.empty()) continue;  // raced; rescan
-    *out = lanes_[victim]->morsels.back();
-    lanes_[victim]->morsels.pop_back();
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-}
-
-uint64_t MorselQueue::steals() const {
-  return steals_.load(std::memory_order_relaxed);
-}
-
 // ------------------------------------------------------ ParallelExecutor
+
+// The plan source shared by a query's workers. A claim is one NextBatch
+// under `mutex`; its number is the batch's position in source order.
+struct ParallelExecutor::Claims {
+  std::mutex mutex;
+  Operator* source = nullptr;
+  size_t next = 0;
+  bool done = false;  // the source reported end of stream
+};
 
 struct ParallelExecutor::WorkerState {
   std::unique_ptr<GroupByAggregator> aggregator;
   std::unique_ptr<TopKAccumulator> top_k;
-  // Sink::kCollect: per-morsel output slots, concatenated in morsel order.
-  std::vector<std::vector<Row>>* collect_slots = nullptr;
+  // Sink::kCollect: output rows, each chunk tagged with its claim number.
+  std::vector<std::pair<size_t, std::vector<Row>>> collected;
 };
 
 ParallelExecutor::ParallelExecutor(size_t num_threads) : pool_(num_threads) {}
@@ -138,9 +119,8 @@ ParallelExecutor& ParallelExecutor::Shared() {
   return executor;
 }
 
-std::vector<Row> ParallelExecutor::RunInline(const MorselPlan& plan) {
-  const size_t total = plan.source_rows ? plan.source_rows->size() : 0;
-  OperatorPtr pipeline = MakePipeline(plan, 0, total);
+std::vector<Row> ParallelExecutor::RunInline(MorselPlan plan) {
+  OperatorPtr pipeline = MakePipeline(plan, std::move(plan.source));
   switch (plan.sink) {
     case MorselPlan::Sink::kCollect:
       return Execute(pipeline.get());
@@ -164,20 +144,31 @@ std::vector<Row> ParallelExecutor::RunInline(const MorselPlan& plan) {
   return {};
 }
 
-void ParallelExecutor::RunWorker(const MorselPlan& plan, MorselQueue* queue,
-                                 size_t worker, WorkerState* state) {
-  MorselQueue::Morsel morsel;
+void ParallelExecutor::RunWorker(const MorselPlan& plan, Claims* claims,
+                                 WorkerState* state) {
+  auto leaf = std::make_unique<ClaimedBatchOp>(&claims->source->schema());
+  ClaimedBatchOp* morsel = leaf.get();
+  OperatorPtr pipeline = MakePipeline(plan, std::move(leaf));
   RowBatch batch;
-  while (queue->Pop(worker, &morsel)) {
-    OperatorPtr pipeline = MakePipeline(plan, morsel.begin, morsel.end);
+  while (true) {
+    size_t claim = 0;
+    {
+      std::lock_guard<std::mutex> lock(claims->mutex);
+      if (claims->done) break;
+      if (!claims->source->NextBatch(morsel->claimed())) {
+        claims->done = true;
+        break;
+      }
+      claim = claims->next++;
+    }
+    // The rest of the morsel's pipeline runs outside the lock.
     pipeline->Open();
     while (pipeline->NextBatch(&batch)) {
       switch (plan.sink) {
-        case MorselPlan::Sink::kCollect: {
-          std::vector<Row>& slot = (*state->collect_slots)[morsel.id];
-          for (Row& row : batch.rows) slot.push_back(std::move(row));
+        case MorselPlan::Sink::kCollect:
+          state->collected.emplace_back(claim, std::move(batch.rows));
+          batch.rows.clear();
           break;
-        }
         case MorselPlan::Sink::kAggregate:
           state->aggregator->AccumulateBatch(batch);
           break;
@@ -190,63 +181,72 @@ void ParallelExecutor::RunWorker(const MorselPlan& plan, MorselQueue* queue,
   }
 }
 
-std::vector<Row> ParallelExecutor::Run(const MorselPlan& plan,
+std::vector<Row> ParallelExecutor::Run(MorselPlan plan,
                                        const ExecOptions& options) {
-  IMPLIANCE_CHECK(plan.source_rows != nullptr);
-  const size_t total = plan.source_rows->size();
-  const size_t morsel_rows = std::max<size_t>(1, options.morsel_rows);
-  const size_t num_morsels = (total + morsel_rows - 1) / morsel_rows;
-  size_t dop = std::min(options.dop, num_morsels);
-  if (dop <= 1) return RunInline(plan);
+  IMPLIANCE_CHECK(plan.source != nullptr);
+  for (MorselPlan::JoinBuild& build : plan.builds) {
+    build.table->Build(build.input.get());
+  }
+  const uint64_t batches =
+      (plan.source->EstimatedRows() + kDefaultBatchRows - 1) /
+      kDefaultBatchRows;
+  const size_t dop =
+      static_cast<size_t>(std::min<uint64_t>(options.dop, batches));
+  if (dop <= 1) return RunInline(std::move(plan));
 
-  MorselQueue queue(total, morsel_rows, dop);
-  // Each morsel gets its own output slot so collected rows concatenate in
-  // source order no matter which worker ran which morsel.
-  std::vector<std::vector<Row>> collect_slots(
-      plan.sink == MorselPlan::Sink::kCollect ? num_morsels : 0);
   std::vector<WorkerState> states(dop);
   for (WorkerState& state : states) {
-    switch (plan.sink) {
-      case MorselPlan::Sink::kCollect:
-        state.collect_slots = &collect_slots;
-        break;
-      case MorselPlan::Sink::kAggregate:
-        state.aggregator = std::make_unique<GroupByAggregator>(
-            plan.group_columns, plan.aggregates);
-        break;
-      case MorselPlan::Sink::kTopK:
-        state.top_k =
-            std::make_unique<TopKAccumulator>(plan.sort_keys, plan.top_k);
-        break;
+    if (plan.sink == MorselPlan::Sink::kAggregate) {
+      state.aggregator = std::make_unique<GroupByAggregator>(
+          plan.group_columns, plan.aggregates);
+    } else if (plan.sink == MorselPlan::Sink::kTopK) {
+      state.top_k =
+          std::make_unique<TopKAccumulator>(plan.sort_keys, plan.top_k);
     }
   }
 
-  // Workers run on pool threads, which have no trace of their own — attach
-  // the submitting request's trace so morsel work lands in the right spans.
-  obs::ScopedSpan morsel_span("exec.morsels");
-  CompletionLatch latch(dop);
-  for (size_t w = 0; w < dop; ++w) {
-    pool_.Submit([this, &plan, &queue, &states, &latch, w,
-                  trace = obs::CurrentTrace()] {
-      obs::ScopedTraceAttach attach(trace);
-      RunWorker(plan, &queue, w, &states[w]);
-      latch.CountDown();
-    });
+  Claims claims;
+  claims.source = plan.source.get();
+  claims.source->Open();
+  {
+    // Workers run on pool threads, which have no trace of their own —
+    // attach the submitting request's trace so morsel work lands in the
+    // right spans.
+    obs::ScopedSpan morsel_span("exec.morsels");
+    CompletionLatch latch(dop);
+    for (size_t w = 0; w < dop; ++w) {
+      pool_.Submit([&plan, &claims, &states, &latch, w,
+                    trace = obs::CurrentTrace()] {
+        obs::ScopedTraceAttach attach(trace);
+        RunWorker(plan, &claims, &states[w]);
+        latch.CountDown();
+      });
+    }
+    latch.Wait();
   }
-  latch.Wait();
-  total_steals_.fetch_add(queue.steals(), std::memory_order_relaxed);
+  claims.source->Close();
 
   // Merge thread-local partials (worker order, deterministic).
   switch (plan.sink) {
     case MorselPlan::Sink::kCollect: {
+      // Claim order is source order; one claim's chunks all come from one
+      // worker, in order, so a stable sort keeps them in sequence.
+      std::vector<std::pair<size_t, std::vector<Row>>> chunks;
       size_t total_out = 0;
-      for (const std::vector<Row>& slot : collect_slots) {
-        total_out += slot.size();
+      for (WorkerState& state : states) {
+        for (auto& chunk : state.collected) {
+          total_out += chunk.second.size();
+          chunks.push_back(std::move(chunk));
+        }
       }
+      std::stable_sort(chunks.begin(), chunks.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
       std::vector<Row> out;
       out.reserve(total_out);
-      for (std::vector<Row>& slot : collect_slots) {
-        for (Row& row : slot) out.push_back(std::move(row));
+      for (auto& chunk : chunks) {
+        for (Row& row : chunk.second) out.push_back(std::move(row));
       }
       return out;
     }

@@ -14,11 +14,6 @@ namespace impliance::exec {
 // small enough that a batch of wide rows stays cache-resident.
 inline constexpr size_t kDefaultBatchRows = 1024;
 
-// Rows a morsel-driven scan hands out per grab. A morsel is the unit of
-// scheduling (coarser than a batch so workers do not hammer the queue), a
-// batch is the unit of operator hand-off.
-inline constexpr size_t kDefaultMorselRows = 4096;
-
 // Unit of data flow between operators: a chunk of rows sharing the
 // producing operator's schema. Operators fill batches with tight loops
 // instead of paying one virtual Next() per row.

@@ -23,13 +23,13 @@ using planning::BindJoins;
 using planning::BindTables;
 using planning::BoundJoin;
 using planning::BoundTable;
+using planning::FetchedRowsOp;
 using planning::FetchViaIndex;
 using planning::IndexFetch;
 using planning::IsRangeOp;
 using planning::MakeBoundTable;
 using planning::MakeIndexLookup;
 using planning::NameResolver;
-using planning::PruneRows;
 using planning::ResolveUpper;
 using planning::UpperPlanSpec;
 
@@ -464,18 +464,30 @@ Result<Optimized> Optimize(const SelectStatement& stmt, const Catalog& catalog,
 
 // ----------------------------------------------------------- plan building
 
-// Materializes one table's access path with local predicates applied:
-// index fetch or pruned scan, then residual predicate evaluation in place.
+// One table's access path: an index fetch (pruned rows) or a scan leaf
+// carrying every local predicate as a hint, plus the local predicates its
+// rows still have to pass, over the leaf's schema.
+struct Access {
+  exec::OperatorPtr leaf;
+  std::vector<exec::Predicate> residual;
+
+  // The leaf with a Filter of the residual predicates above it.
+  exec::OperatorPtr Filtered() && {
+    if (residual.empty()) return std::move(leaf);
+    return std::make_unique<exec::FilterOp>(std::move(leaf),
+                                            std::move(residual));
+  }
+};
+
 // `node` (optional; the parallel path has no explain tree) receives the
 // access (+ filter) subtree.
-std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
-                                        Node* node) {
+Access BuildAccess(const Optimized& opt, int t, Node* node) {
   const TablePhysical& phys = opt.phys[t];
   const TableLogical& local = opt.locals[t];
   const BoundTable& bound = opt.bound[t];
   const Table* table = opt.tables[t];
 
-  std::vector<exec::Row> rows;
+  Access access;
   bool consumed = false;
   if (phys.access_predicate >= 0) {
     const LocalPredicate& pred = local.predicates[phys.access_predicate];
@@ -483,8 +495,7 @@ std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
     IndexFetch fetch = FetchViaIndex(table, column_name, pred.column, pred.op,
                                      pred.literal);
     consumed = fetch.consumed;
-    rows = std::move(fetch.rows);
-    PruneRows(bound, &rows);
+    access.leaf = FetchedRowsOp(bound, std::move(fetch.rows));
     if (node != nullptr) {
       *node = Node{pred.op == exec::CompareOp::kEq ? "IndexLookup"
                                                    : "IndexRange",
@@ -495,12 +506,11 @@ std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
   } else {
     // Every local predicate rides along as a scan hint: zone-mapped
     // backends skip refuted blocks, everyone else ignores them. The
-    // residual Filter below re-applies all of them either way.
+    // residual Filter above re-applies all of them either way.
     std::vector<exec::Predicate> hints;
     for (const LocalPredicate& pred : local.predicates) {
       hints.push_back(exec::Predicate{pred.column, pred.op, pred.literal});
     }
-    rows = bound.ScanKept(hints);
     if (node != nullptr) {
       *node = Node{table->SupportsZoneMapSkipping() && !hints.empty()
                        ? "ColumnarScan"
@@ -508,34 +518,29 @@ std::vector<exec::Row> MaterializeTable(const Optimized& opt, int t,
                    table->table_name(), phys.fetch_rows, phys.access_cost,
                    {}};
     }
+    access.leaf = table->ScanBatches(bound.kept, std::move(hints));
   }
 
-  std::vector<exec::Predicate> residual;
   std::string label;
   for (size_t i = 0; i < local.predicates.size(); ++i) {
     if (consumed && static_cast<int>(i) == phys.access_predicate) continue;
     const LocalPredicate& pred = local.predicates[i];
-    residual.push_back(exec::Predicate{bound.KeptIndexOf(pred.column), pred.op,
-                                       pred.literal});
+    access.residual.push_back(exec::Predicate{bound.KeptIndexOf(pred.column),
+                                              pred.op, pred.literal});
     if (node == nullptr) continue;
     if (!label.empty()) label += " AND ";
     label += PredicateLabel(table->schema().columns[pred.column], pred.op,
                             pred.literal);
   }
-  if (residual.empty()) return rows;
-  rows.erase(std::remove_if(rows.begin(), rows.end(),
-                            [&](const exec::Row& row) {
-                              return !exec::EvalAll(residual, row);
-                            }),
-             rows.end());
-  if (node != nullptr) {
+  if (node != nullptr && !access.residual.empty()) {
     Node filter{"Filter", label, phys.est_rows,
-                phys.fetch_rows * 0.1 * static_cast<double>(residual.size()),
+                phys.fetch_rows * 0.1 *
+                    static_cast<double>(access.residual.size()),
                 {}};
     filter.children.push_back(std::move(*node));
     *node = std::move(filter);
   }
-  return rows;
+  return access;
 }
 
 // Combined-layout bookkeeping while the join chain is assembled: position
@@ -676,10 +681,8 @@ Result<PlanResult> CostAwarePlanner::Plan(const SelectStatement& stmt,
 
   // Driver access.
   Node chain_node;
-  std::vector<exec::Row> driver_rows =
-      MaterializeTable(opt, opt.driver, &chain_node);
-  exec::OperatorPtr plan = std::make_unique<exec::RowSourceOp>(
-      opt.bound[opt.driver].schema, std::move(driver_rows));
+  exec::OperatorPtr plan =
+      BuildAccess(opt, opt.driver, &chain_node).Filtered();
   Layout layout;
   layout.AppendTable(opt.bound[opt.driver], opt.driver);
   double rows = opt.phys[opt.driver].est_rows;
@@ -733,10 +736,8 @@ Result<PlanResult> CostAwarePlanner::Plan(const SelectStatement& stmt,
       }
     } else {
       Node build_node;
-      std::vector<exec::Row> build_rows =
-          MaterializeTable(opt, step.table, &build_node);
-      auto build = std::make_unique<exec::RowSourceOp>(right.schema,
-                                                       std::move(build_rows));
+      exec::OperatorPtr build =
+          BuildAccess(opt, step.table, &build_node).Filtered();
       const int right_key = right.KeptIndexOf(step.new_column);
       Node join;
       if (step.method == JoinStep::Method::kSortMerge) {
@@ -809,20 +810,24 @@ Result<std::optional<ParallelPlan>> CostAwarePlanner::PlanParallel(
       ResolveUpper(stmt, resolver, /*consumed_predicates=*/{},
                    /*filter_order=*/{}, /*adaptive_filter=*/false));
 
-  std::vector<exec::Row> driver_rows =
-      MaterializeTable(opt, opt.driver, /*node=*/nullptr);
+  ParallelPlan parallel;
+  Access driver = BuildAccess(opt, opt.driver, /*node=*/nullptr);
+  parallel.segment.source = std::move(driver.leaf);
 
   Layout layout;
   layout.AppendTable(opt.bound[opt.driver], opt.driver);
 
+  // Build sides are built once when the segment runs, then probed from
+  // every worker.
   std::vector<planning::SharedProbe> probes;
   for (const JoinStep& step : opt.steps) {
     const BoundTable& right = opt.bound[step.table];
-    std::vector<exec::Row> build_rows =
-        MaterializeTable(opt, step.table, /*node=*/nullptr);
-    exec::RowSourceOp build(right.schema, std::move(build_rows));
+    auto table = std::make_shared<exec::JoinHashTable>(
+        right.schema, right.KeptIndexOf(step.new_column));
+    parallel.segment.builds.push_back(
+        {BuildAccess(opt, step.table, /*node=*/nullptr).Filtered(), table});
     probes.push_back(planning::SharedProbe{
-        exec::JoinHashTable::Build(&build, right.KeptIndexOf(step.new_column)),
+        std::move(table),
         layout.PositionOf(step.placed_table, step.placed_column)});
     layout.AppendTable(right, step.table);
   }
@@ -846,11 +851,8 @@ Result<std::optional<ParallelPlan>> CostAwarePlanner::PlanParallel(
     perm_names.clear();
   }
 
-  ParallelPlan parallel;
-  parallel.segment.source_schema = opt.bound[opt.driver].schema;
-  parallel.segment.source_rows =
-      std::make_shared<std::vector<exec::Row>>(std::move(driver_rows));
-  planning::AttachParallelUpper(spec, std::move(probes), std::move(perm),
+  planning::AttachParallelUpper(spec, std::move(driver.residual),
+                                std::move(probes), std::move(perm),
                                 std::move(perm_names), &parallel);
   return std::optional<ParallelPlan>(std::move(parallel));
 }

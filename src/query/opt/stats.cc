@@ -53,10 +53,11 @@ TableStats CollectTableStats(const Table& table, const StatsOptions& options) {
   // copied every row just to read the first few thousand). The cap bounds
   // the per-column sketch work, which dominates.
   const size_t cap = std::max<size_t>(1, options.sample_rows);
-  exec::BatchSourcePtr source = table.ScanBatches({});
+  std::unique_ptr<TableScan> scan = table.ScanBatches({});
+  scan->Open();
   exec::RowBatch batch;
   size_t sample = 0;
-  while (sample < cap && source->NextBatch(&batch)) {
+  while (sample < cap && scan->NextBatch(&batch)) {
     for (const exec::Row& row : batch.rows) {
       if (sample >= cap) break;
       ++sample;
@@ -77,6 +78,7 @@ TableStats CollectTableStats(const Table& table, const StatsOptions& options) {
       }
     }
   }
+  scan->Close();
   stats.sampled_rows = sample;
 
   // Backends with storage metadata (columnar zone maps) answer min/max and

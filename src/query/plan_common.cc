@@ -24,12 +24,6 @@ int BoundTable::KeptIndexOf(int column) const {
   return -1;
 }
 
-std::vector<exec::Row> BoundTable::ScanKept(
-    const std::vector<exec::Predicate>& hints) const {
-  exec::BatchSourcePtr source = table->ScanBatches(kept, hints);
-  return exec::DrainBatchSource(source.get());
-}
-
 BoundTable MakeBoundTable(const Table* table, std::vector<int> kept) {
   BoundTable bound;
   bound.table = table;
@@ -145,14 +139,17 @@ std::vector<BoundTable> BindColumns(const SelectStatement& stmt,
   return bound;
 }
 
-void PruneRows(const BoundTable& bound, std::vector<exec::Row>* rows) {
-  if (!bound.pruned()) return;
-  for (exec::Row& row : *rows) {
-    exec::Row pruned;
-    pruned.reserve(bound.kept.size());
-    for (int column : bound.kept) pruned.push_back(std::move(row[column]));
-    row = std::move(pruned);
+exec::OperatorPtr FetchedRowsOp(const BoundTable& bound,
+                                std::vector<exec::Row> rows) {
+  if (bound.pruned()) {
+    for (exec::Row& row : rows) {
+      exec::Row pruned;
+      pruned.reserve(bound.kept.size());
+      for (int column : bound.kept) pruned.push_back(std::move(row[column]));
+      row = std::move(pruned);
+    }
   }
+  return std::make_unique<exec::RowSourceOp>(bound.schema, std::move(rows));
 }
 
 NameResolver::NameResolver(const std::vector<BoundTable>* tables) {
@@ -362,15 +359,20 @@ exec::OperatorPtr BuildSerialUpper(const UpperPlanSpec& spec,
 }
 
 void AttachParallelUpper(const UpperPlanSpec& spec,
+                         std::vector<exec::Predicate> source_filter,
                          std::vector<SharedProbe> probes,
                          std::vector<int> reorder,
                          std::vector<std::string> reorder_names,
                          ParallelPlan* parallel) {
   const bool project = !spec.has_aggregate && spec.project;
-  parallel->segment.make_pipeline = [probes = std::move(probes),
+  parallel->segment.make_pipeline = [source_filter = std::move(source_filter),
+                                     probes = std::move(probes),
                                      reorder = std::move(reorder),
                                      reorder_names = std::move(reorder_names),
                                      spec, project](exec::OperatorPtr op) {
+    if (!source_filter.empty()) {
+      op = std::make_unique<exec::FilterOp>(std::move(op), source_filter);
+    }
     for (const SharedProbe& probe : probes) {
       op = std::make_unique<exec::HashProbeOp>(std::move(op), probe.table,
                                                probe.left_key);

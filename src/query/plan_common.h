@@ -39,12 +39,6 @@ struct BoundTable {
   bool pruned() const { return kept.size() < table->schema().size(); }
   // Position of full-schema column `column` within `kept`, or -1.
   int KeptIndexOf(int column) const;
-  // Rows carrying only the kept columns, streamed through the table's
-  // batch scan. `hints` (predicates over FULL-schema indices) let
-  // zone-mapped backends skip blocks; they only shrink the stream, so the
-  // caller still applies its filters to the result.
-  std::vector<exec::Row> ScanKept(
-      const std::vector<exec::Predicate>& hints = {}) const;
 };
 
 BoundTable MakeBoundTable(const Table* table, std::vector<int> kept);
@@ -83,9 +77,9 @@ std::vector<BoundTable> BindColumns(const SelectStatement& stmt,
                                     const std::vector<BoundJoin>& joins,
                                     const std::vector<bool>& keep_all);
 
-// Prunes materialized full-schema rows in place to `bound.kept` (no-op when
-// the table is unpruned).
-void PruneRows(const BoundTable& bound, std::vector<exec::Row>* rows);
+// Leaf over an index fetch's full-schema rows, pruned to `bound.kept`.
+exec::OperatorPtr FetchedRowsOp(const BoundTable& bound,
+                                std::vector<exec::Row> rows);
 
 // Column resolution over the combined (joined) schema: the concatenation of
 // the bound tables' pruned schemas in the given order. Qualified names match
@@ -159,12 +153,15 @@ struct SharedProbe {
 };
 
 // Completes a morsel-parallel plan whose segment source is set. Each morsel
-// runs `probes` in order, then `reorder` (a projection restoring the
-// textual column layout after a join reorder; skipped when empty), then the
-// spec's residual filter and — unless an aggregate reshapes the rows — its
-// select-list projection. The spec's sink and serial tail follow (partial
-// aggregate / partial top-k / collect, then the serial remainder).
+// runs `source_filter` (the source table's own predicates, over its
+// schema; skipped when empty), then `probes` in order, then `reorder` (a
+// projection restoring the textual column layout after a join reorder;
+// skipped when empty), then the spec's residual filter and — unless an
+// aggregate reshapes the rows — its select-list projection. The spec's sink
+// and serial tail follow (partial aggregate / partial top-k / collect, then
+// the serial remainder).
 void AttachParallelUpper(const UpperPlanSpec& spec,
+                         std::vector<exec::Predicate> source_filter,
                          std::vector<SharedProbe> probes,
                          std::vector<int> reorder,
                          std::vector<std::string> reorder_names,

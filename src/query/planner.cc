@@ -17,12 +17,12 @@ using planning::BindJoins;
 using planning::BindTables;
 using planning::BoundJoin;
 using planning::BoundTable;
+using planning::FetchedRowsOp;
 using planning::FetchViaIndex;
 using planning::IndexFetch;
 using planning::IsRangeOp;
 using planning::MakeIndexLookup;
 using planning::NameResolver;
-using planning::PruneRows;
 using planning::RenderExplain;
 using planning::ResolveInTable;
 using planning::ResolveUpper;
@@ -49,15 +49,16 @@ int ChooseAccessPredicate(const SelectStatement& stmt, const Table* table) {
   return -1;
 }
 
-// Base rows for the FROM table under the simple rule, already pruned to the
-// kept columns. Sets *consumed when an index fully absorbed the predicate.
-std::vector<exec::Row> FetchAccess(const SelectStatement& stmt,
-                                   const BoundTable& bound, int chosen,
-                                   std::string* description, int* consumed) {
+// Access-path leaf for the FROM table under the simple rule: a scan of the
+// kept columns, or an index fetch pruned to them. Sets *consumed when an
+// index fully absorbed the predicate.
+exec::OperatorPtr BuildAccess(const SelectStatement& stmt,
+                              const BoundTable& bound, int chosen,
+                              std::string* description, int* consumed) {
   *consumed = -1;
   if (chosen < 0) {
     *description = "Scan(" + bound.table->table_name() + ")";
-    return bound.ScanKept();
+    return bound.table->ScanBatches(bound.kept);
   }
   const WhereClause& clause = stmt.where[chosen];
   IndexFetch fetch = FetchViaIndex(
@@ -65,8 +66,7 @@ std::vector<exec::Row> FetchAccess(const SelectStatement& stmt,
       ResolveInTable(bound.table, clause.column), clause.op, clause.literal);
   *description = fetch.description;
   if (fetch.consumed) *consumed = chosen;
-  PruneRows(bound, &fetch.rows);
-  return std::move(fetch.rows);
+  return FetchedRowsOp(bound, std::move(fetch.rows));
 }
 
 // The simple rule for join methods: indexed nested-loop when the query is
@@ -104,11 +104,9 @@ Result<PlanResult> SimplePlanner::Plan(const SelectStatement& stmt,
   const int chosen = ChooseAccessPredicate(stmt, tables[0]);
   std::string description;
   int consumed_index = -1;
-  std::vector<exec::Row> base_rows =
-      FetchAccess(stmt, bound[0], chosen, &description, &consumed_index);
+  exec::OperatorPtr plan =
+      BuildAccess(stmt, bound[0], chosen, &description, &consumed_index);
   explain_lines.push_back(description);
-  exec::OperatorPtr plan = std::make_unique<exec::RowSourceOp>(
-      bound[0].schema, std::move(base_rows));
 
   std::set<int> consumed;
   if (consumed_index >= 0) consumed.insert(consumed_index);
@@ -129,10 +127,8 @@ Result<PlanResult> SimplePlanner::Plan(const SelectStatement& stmt,
     } else {
       explain_lines.push_back("HashJoin(build=" + right.table->table_name() +
                               ")");
-      auto build = std::make_unique<exec::RowSourceOp>(right.schema,
-                                                       right.ScanKept());
       plan = std::make_unique<exec::HashJoinOp>(
-          std::move(plan), std::move(build), left_key,
+          std::move(plan), right.table->ScanBatches(right.kept), left_key,
           right.KeptIndexOf(join.right_column));
     }
   }
@@ -172,8 +168,9 @@ Result<std::optional<ParallelPlan>> SimplePlanner::PlanParallel(
   const int chosen = ChooseAccessPredicate(stmt, tables[0]);
   std::string description;
   int consumed_index = -1;
-  std::vector<exec::Row> base_rows =
-      FetchAccess(stmt, bound[0], chosen, &description, &consumed_index);
+  ParallelPlan parallel;
+  parallel.segment.source =
+      BuildAccess(stmt, bound[0], chosen, &description, &consumed_index);
 
   std::set<int> consumed;
   if (consumed_index >= 0) consumed.insert(consumed_index);
@@ -185,23 +182,24 @@ Result<std::optional<ParallelPlan>> SimplePlanner::PlanParallel(
       UpperPlanSpec spec,
       ResolveUpper(stmt, resolver, consumed, order, /*adaptive_filter=*/true));
 
-  // Shared build sides: constructed once here, probed from every worker.
+  // Shared build sides: built once when the segment runs, probed from
+  // every worker.
   std::vector<planning::SharedProbe> probes;
   for (const BoundJoin& join : joins) {
     const BoundTable& right = bound[join.right_table];
-    exec::RowSourceOp build(right.schema, right.ScanKept());
+    auto table = std::make_shared<exec::JoinHashTable>(
+        right.schema, right.KeptIndexOf(join.right_column));
+    parallel.segment.builds.push_back(
+        {right.table->ScanBatches(right.kept), table});
     probes.push_back(planning::SharedProbe{
-        exec::JoinHashTable::Build(&build, right.KeptIndexOf(join.right_column)),
+        std::move(table),
         resolver.Offset(join.left_table) +
             bound[join.left_table].KeptIndexOf(join.left_column)});
   }
 
-  ParallelPlan parallel;
-  parallel.segment.source_schema = bound[0].schema;
-  parallel.segment.source_rows =
-      std::make_shared<std::vector<exec::Row>>(std::move(base_rows));
-  planning::AttachParallelUpper(spec, std::move(probes), /*reorder=*/{},
-                                /*reorder_names=*/{}, &parallel);
+  planning::AttachParallelUpper(spec, /*source_filter=*/{}, std::move(probes),
+                                /*reorder=*/{}, /*reorder_names=*/{},
+                                &parallel);
   return std::optional<ParallelPlan>(std::move(parallel));
 }
 
@@ -213,11 +211,12 @@ Result<std::vector<exec::Row>> RunSql(std::string_view sql,
     IMPLIANCE_ASSIGN_OR_RETURN(std::optional<ParallelPlan> parallel,
                                planner->PlanParallel(stmt, catalog));
     if (parallel.has_value()) {
-      std::vector<exec::Row> merged =
-          exec::ParallelExecutor::Shared().Run(parallel->segment, options);
+      exec::Schema merged_schema = parallel->segment.OutputSchema();
+      std::vector<exec::Row> merged = exec::ParallelExecutor::Shared().Run(
+          std::move(parallel->segment), options);
       if (!parallel->tail) return merged;
       auto source = std::make_unique<exec::RowSourceOp>(
-          parallel->segment.OutputSchema(), std::move(merged));
+          std::move(merged_schema), std::move(merged));
       exec::OperatorPtr tail = parallel->tail(std::move(source));
       return exec::Execute(tail.get());
     }

@@ -8,53 +8,6 @@ namespace impliance::query {
 
 namespace {
 
-// Wraps every table scan stream: accumulates ScanStats into the global
-// scan.* counters (surfaced through the wire protocol's kStats op) and
-// records one `table.scan` span over the stream's lifetime. Flushes once —
-// at end-of-stream or on destruction, whichever comes first — so an
-// abandoned scan (LIMIT satisfied early) is still accounted.
-class MeteredBatchSource : public exec::BatchSource {
- public:
-  explicit MeteredBatchSource(exec::BatchSourcePtr inner)
-      : inner_(std::move(inner)), span_("table.scan") {}
-  ~MeteredBatchSource() override { Flush(); }
-
-  const exec::Schema& schema() const override { return inner_->schema(); }
-  bool NextBatch(exec::RowBatch* batch) override {
-    const bool more = inner_->NextBatch(batch);
-    if (!more) Flush();
-    return more;
-  }
-  uint64_t EstimatedRows() const override { return inner_->EstimatedRows(); }
-  exec::ScanStats stats() const override { return inner_->stats(); }
-
- private:
-  void Flush() {
-    if (flushed_) return;
-    flushed_ = true;
-    static obs::Counter* segments_visited =
-        obs::Registry::Global().GetCounter("scan.segments_visited");
-    static obs::Counter* segments_skipped =
-        obs::Registry::Global().GetCounter("scan.segments_skipped");
-    static obs::Counter* blocks_decoded =
-        obs::Registry::Global().GetCounter("scan.blocks_decoded");
-    static obs::Counter* blocks_skipped =
-        obs::Registry::Global().GetCounter("scan.blocks_skipped");
-    static obs::Counter* rows_decoded =
-        obs::Registry::Global().GetCounter("scan.rows_decoded");
-    const exec::ScanStats s = inner_->stats();
-    segments_visited->Increment(s.segments_visited);
-    segments_skipped->Increment(s.segments_skipped);
-    blocks_decoded->Increment(s.blocks_decoded);
-    blocks_skipped->Increment(s.blocks_skipped);
-    rows_decoded->Increment(s.rows_decoded);
-  }
-
-  exec::BatchSourcePtr inner_;
-  obs::ScopedSpan span_;
-  bool flushed_ = false;
-};
-
 exec::Schema ProjectSchema(const exec::Schema& full,
                            const std::vector<int>& columns) {
   exec::Schema projected;
@@ -64,7 +17,7 @@ exec::Schema ProjectSchema(const exec::Schema& full,
 
 }  // namespace
 
-exec::BatchSourcePtr Table::ScanBatches(
+std::unique_ptr<TableScan> Table::ScanBatches(
     std::vector<int> columns, std::vector<exec::Predicate> hints) const {
   const exec::Schema& full = schema();
   if (columns.empty()) {
@@ -78,8 +31,63 @@ exec::BatchSourcePtr Table::ScanBatches(
   // so ProjectSchema(full, columns) in the argument list could read an
   // already-moved-from vector.
   exec::Schema projected = ProjectSchema(full, columns);
-  return std::make_unique<MeteredBatchSource>(ScanBatchesImpl(
-      std::move(projected), std::move(columns), std::move(hints)));
+  return std::make_unique<TableScan>(this, std::move(projected),
+                                     std::move(columns), std::move(hints));
+}
+
+TableScan::TableScan(const Table* table, exec::Schema schema,
+                     std::vector<int> columns,
+                     std::vector<exec::Predicate> hints)
+    : table_(table),
+      schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      hints_(std::move(hints)) {}
+
+void TableScan::Open() {
+  Close();
+  span_.emplace("table.scan");
+  source_ = table_->ScanBatchesImpl(schema_, columns_, hints_);
+  flushed_ = false;
+}
+
+bool TableScan::NextBatch(exec::RowBatch* batch) {
+  const bool more = source_->NextBatch(batch);
+  if (more) {
+    rows_produced_ += batch->size();
+  } else {
+    Flush();
+  }
+  return more;
+}
+
+void TableScan::Close() {
+  Flush();
+  span_.reset();
+}
+
+uint64_t TableScan::EstimatedRows() const {
+  return source_ != nullptr ? source_->EstimatedRows() : table_->RowCount();
+}
+
+void TableScan::Flush() {
+  if (flushed_) return;
+  flushed_ = true;
+  static obs::Counter* segments_visited =
+      obs::Registry::Global().GetCounter("scan.segments_visited");
+  static obs::Counter* segments_skipped =
+      obs::Registry::Global().GetCounter("scan.segments_skipped");
+  static obs::Counter* blocks_decoded =
+      obs::Registry::Global().GetCounter("scan.blocks_decoded");
+  static obs::Counter* blocks_skipped =
+      obs::Registry::Global().GetCounter("scan.blocks_skipped");
+  static obs::Counter* rows_decoded =
+      obs::Registry::Global().GetCounter("scan.rows_decoded");
+  const exec::ScanStats s = source_->stats();
+  segments_visited->Increment(s.segments_visited);
+  segments_skipped->Increment(s.segments_skipped);
+  blocks_decoded->Increment(s.blocks_decoded);
+  blocks_skipped->Increment(s.blocks_skipped);
+  rows_decoded->Increment(s.rows_decoded);
 }
 
 MemTable::MemTable(std::string name, exec::Schema schema)

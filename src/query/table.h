@@ -12,6 +12,7 @@
 #include "exec/operator.h"
 #include "exec/predicate.h"
 #include "model/value.h"
+#include "obs/trace.h"
 
 namespace impliance::query {
 
@@ -25,6 +26,8 @@ struct ColumnSummary {
   model::Value max;
 };
 
+class TableScan;
+
 // Logical relation the planners access: either a system view over documents
 // (bound by the core facade) or an in-memory table (tests, benches,
 // baselines). The planner only sees this interface, so plans are identical
@@ -36,14 +39,14 @@ class Table {
   virtual const std::string& table_name() const = 0;
   virtual const exec::Schema& schema() const = 0;
 
-  // The one scan path: a pull stream of RowBatch chunks carrying exactly
-  // `columns` (schema indices, in that order; empty = all columns in schema
-  // order). `hints` are predicates over FULL-schema indices a backend may
-  // use to skip storage blocks whose zone maps refute them — hints only
-  // shrink the stream, so callers must still re-apply their predicates.
-  // Every source is wrapped for observability (scan.* counters plus a
-  // `table.scan` trace span); backends implement ScanBatchesImpl.
-  exec::BatchSourcePtr ScanBatches(
+  // The one scan path: a leaf operator streaming RowBatch chunks carrying
+  // exactly `columns` (schema indices, in that order; empty = all columns
+  // in schema order). `hints` are predicates over FULL-schema indices a
+  // backend may use to skip storage blocks whose zone maps refute them —
+  // hints only shrink the stream, so callers must still re-apply their
+  // predicates. Nothing is read until the operator is opened; backends
+  // implement ScanBatchesImpl.
+  std::unique_ptr<TableScan> ScanBatches(
       std::vector<int> columns,
       std::vector<exec::Predicate> hints = {}) const;
 
@@ -85,12 +88,52 @@ class Table {
   virtual uint64_t DataVersion() const { return 0; }
 
  protected:
-  // Backend hook behind ScanBatches. `columns` is already normalized
-  // (never empty; explicit schema indices) and `schema` is the projected
-  // schema over them. Every backend streams its own storage.
+  friend class TableScan;
+
+  // Backend hook behind ScanBatches, called when the scan opens. `columns`
+  // is already normalized (never empty; explicit schema indices) and
+  // `schema` is the projected schema over them. Every backend streams its
+  // own storage.
   virtual exec::BatchSourcePtr ScanBatchesImpl(
       exec::Schema schema, std::vector<int> columns,
       std::vector<exec::Predicate> hints) const = 0;
+};
+
+// Leaf operator of every table scan. Open() asks the backend for its
+// stream, so building a plan (or EXPLAIN) reads no rows. The scan's
+// ScanStats go to the global scan.* counters (surfaced through the wire
+// protocol's kStats op) and its open-to-close time to a `table.scan` trace
+// span — once, at end of stream, Close or destruction, whichever comes
+// first, so an abandoned scan (LIMIT satisfied early) is still accounted.
+class TableScan : public exec::Operator {
+ public:
+  TableScan(const Table* table, exec::Schema schema, std::vector<int> columns,
+            std::vector<exec::Predicate> hints);
+  ~TableScan() override { Close(); }
+
+  const exec::Schema& schema() const override { return schema_; }
+  std::string name() const override { return "TableScan"; }
+  void Open() override;
+  bool NextBatch(exec::RowBatch* batch) override;
+  void Close() override;
+  // The open stream's hint, else the table's row count.
+  uint64_t EstimatedRows() const override;
+
+  // Counters of the current (or last) stream; zero before Open.
+  exec::ScanStats stats() const {
+    return source_ == nullptr ? exec::ScanStats{} : source_->stats();
+  }
+
+ private:
+  void Flush();
+
+  const Table* table_;
+  exec::Schema schema_;
+  std::vector<int> columns_;
+  std::vector<exec::Predicate> hints_;
+  exec::BatchSourcePtr source_;  // null until Open
+  bool flushed_ = true;
+  std::optional<obs::ScopedSpan> span_;
 };
 
 // Vector-backed table with optional per-column hash + ordered indexes.

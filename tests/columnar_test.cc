@@ -236,8 +236,10 @@ TEST(ColumnarScanTest, SkipsBlocksOutsideRangeAndStaysExact) {
 
   std::vector<exec::Predicate> hints = {
       {0, CompareOp::kGe, Value::Int(1000)}, {0, CompareOp::kLt, Value::Int(1100)}};
-  exec::BatchSourcePtr source = table.ScanBatches({0, 1}, hints);
-  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get(), hints);
+  auto scan = table.ScanBatches({0, 1}, hints);
+  const query::TableScan* source = scan.get();
+  exec::FilterOp filter(std::move(scan), hints);
+  std::vector<exec::Row> rows = exec::Execute(&filter);
   ASSERT_EQ(rows.size(), 100u);
   for (const exec::Row& row : rows) {
     EXPECT_GE(row[0].int_value(), 1000);
@@ -256,8 +258,10 @@ TEST(ColumnarScanTest, SkipsBlocksOutsideRangeAndStaysExact) {
 TEST(ColumnarScanTest, AllPrunedSegmentsYieldNoRows) {
   query::ColumnarTable table = MakeClustered(2048, 1024, 128);
   std::vector<exec::Predicate> hints = {{0, CompareOp::kGt, Value::Int(999999)}};
-  exec::BatchSourcePtr source = table.ScanBatches({0}, hints);
-  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get(), hints);
+  auto scan = table.ScanBatches({0}, hints);
+  const query::TableScan* source = scan.get();
+  exec::FilterOp filter(std::move(scan), hints);
+  std::vector<exec::Row> rows = exec::Execute(&filter);
   EXPECT_TRUE(rows.empty());
   const exec::ScanStats stats = source->stats();
   EXPECT_EQ(stats.blocks_decoded, 0u);
@@ -268,8 +272,8 @@ TEST(ColumnarScanTest, TailShorterThanSegmentScansCorrectly) {
   query::ColumnarTable table = MakeClustered(100, 1024, 128);
   EXPECT_EQ(table.num_segments(), 0u);
   EXPECT_EQ(table.staged_rows(), 100u);
-  exec::BatchSourcePtr source = table.ScanBatches({});
-  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
+  auto source = table.ScanBatches({});
+  std::vector<exec::Row> rows = exec::Execute(source.get());
   ASSERT_EQ(rows.size(), 100u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0].int_value(), static_cast<int64_t>(i));
@@ -278,7 +282,8 @@ TEST(ColumnarScanTest, TailShorterThanSegmentScansCorrectly) {
 
 TEST(ColumnarScanTest, EmptyTableScansEmpty) {
   query::ColumnarTable table("empty", exec::Schema{{"x"}});
-  exec::BatchSourcePtr source = table.ScanBatches({0});
+  auto source = table.ScanBatches({0});
+  source->Open();
   exec::RowBatch batch;
   EXPECT_FALSE(source->NextBatch(&batch));
   EXPECT_TRUE(batch.empty());
@@ -286,8 +291,8 @@ TEST(ColumnarScanTest, EmptyTableScansEmpty) {
 
 TEST(ColumnarScanTest, ProjectionDecodesOnlyRequestedColumns) {
   query::ColumnarTable table = MakeClustered(2048, 1024, 2048);
-  exec::BatchSourcePtr source = table.ScanBatches({1});
-  std::vector<exec::Row> rows = exec::DrainBatchSource(source.get());
+  auto source = table.ScanBatches({1});
+  std::vector<exec::Row> rows = exec::Execute(source.get());
   ASSERT_EQ(rows.size(), 2048u);
   ASSERT_EQ(rows[0].size(), 1u);
   EXPECT_EQ(rows[0][0].AsString(), "city0");
@@ -300,9 +305,9 @@ TEST(ColumnarScanTest, ScanEmitsObsCountersAndSkips) {
       obs::Registry::Global().GetCounter("scan.blocks_skipped")->Value();
   query::ColumnarTable table = MakeClustered(2048, 1024, 128);
   std::vector<exec::Predicate> hints = {{0, CompareOp::kLt, Value::Int(10)}};
-  exec::BatchSourcePtr source = table.ScanBatches({0}, hints);
-  (void)exec::DrainBatchSource(source.get(), hints);
-  source.reset();  // metered wrapper flushes at end-of-stream or destruction
+  auto source = table.ScanBatches({0}, hints);
+  (void)exec::Execute(source.get());
+  source.reset();  // the scan flushes at end of stream, Close or destruction
   const uint64_t skipped_after =
       obs::Registry::Global().GetCounter("scan.blocks_skipped")->Value();
   EXPECT_GT(skipped_after, skipped_before);

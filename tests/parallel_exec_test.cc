@@ -8,7 +8,10 @@
 #include "common/rng.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
+#include "obs/metrics.h"
+#include "query/opt/optimizer.h"
 #include "query/planner.h"
+#include "query/sql_parser.h"
 #include "query/table.h"
 
 namespace impliance::exec {
@@ -17,19 +20,22 @@ namespace {
 using model::Value;
 
 // Deterministic synthetic table: id, group (8 distinct), score.
-std::shared_ptr<const std::vector<Row>> MakeRows(size_t n) {
-  auto rows = std::make_shared<std::vector<Row>>();
-  rows->reserve(n);
+std::vector<Row> MakeRows(size_t n) {
+  std::vector<Row> rows;
+  rows.reserve(n);
   Rng rng(42);
   for (size_t i = 0; i < n; ++i) {
-    rows->push_back({Value::Int(static_cast<int64_t>(i)),
-                     Value::Int(static_cast<int64_t>(rng.Next() % 8)),
-                     Value::Double(static_cast<double>(rng.Next() % 10000))});
+    rows.push_back({Value::Int(static_cast<int64_t>(i)),
+                    Value::Int(static_cast<int64_t>(rng.Next() % 8)),
+                    Value::Double(static_cast<double>(rng.Next() % 10000))});
   }
   return rows;
 }
 
 Schema BaseSchema() { return Schema{{"id", "grp", "score"}}; }
+
+// Rows enough for 20 source batches: every worker at DOP 8 claims several.
+constexpr size_t kManyBatches = 20 * kDefaultBatchRows;
 
 // Order-insensitive row-set equality.
 void ExpectSameRows(std::vector<Row> a, std::vector<Row> b) {
@@ -45,14 +51,18 @@ void ExpectSameRows(std::vector<Row> a, std::vector<Row> b) {
 ExecOptions Opts(size_t dop) {
   ExecOptions options;
   options.dop = dop;
-  options.morsel_rows = 256;  // many morsels even for small inputs
   return options;
 }
 
-MorselPlan FilterProjectPlan(std::shared_ptr<const std::vector<Row>> rows) {
+// Plans are single-use, so each run gets a fresh one over the same rows.
+MorselPlan PlanOver(const std::vector<Row>& rows) {
   MorselPlan plan;
-  plan.source_schema = BaseSchema();
-  plan.source_rows = std::move(rows);
+  plan.source = std::make_unique<RowSourceOp>(BaseSchema(), rows);
+  return plan;
+}
+
+MorselPlan FilterProjectPlan(const std::vector<Row>& rows) {
+  MorselPlan plan = PlanOver(rows);
   plan.make_pipeline = [](OperatorPtr source) {
     std::vector<Predicate> predicates{
         {2, CompareOp::kGt, Value::Double(2500.0)},
@@ -67,27 +77,8 @@ MorselPlan FilterProjectPlan(std::shared_ptr<const std::vector<Row>> rows) {
   return plan;
 }
 
-// ------------------------------------------------- serial/parallel parity
-
-TEST(ParallelCollectTest, MatchesSerialAtAllDops) {
-  auto rows = MakeRows(10000);
-  MorselPlan plan = FilterProjectPlan(rows);
-  const std::vector<Row> serial =
-      ParallelExecutor::Shared().Run(plan, Opts(1));
-  ASSERT_FALSE(serial.empty());
-  for (size_t dop : {2u, 8u}) {
-    std::vector<Row> parallel = ParallelExecutor::Shared().Run(plan, Opts(dop));
-    // Collect sinks concatenate per-morsel slots in morsel order, so the
-    // result is byte-identical to serial — not just a permutation.
-    EXPECT_EQ(parallel, serial) << "dop=" << dop;
-  }
-}
-
-TEST(ParallelAggregateTest, MatchesSerialAtAllDops) {
-  auto rows = MakeRows(10000);
-  MorselPlan plan;
-  plan.source_schema = BaseSchema();
-  plan.source_rows = rows;
+MorselPlan AggregatePlan(const std::vector<Row>& rows) {
+  MorselPlan plan = PlanOver(rows);
   plan.make_pipeline = [](OperatorPtr source) {
     std::vector<Predicate> predicates{{2, CompareOp::kLt, Value::Double(9000.0)}};
     return std::make_unique<FilterOp>(std::move(source), std::move(predicates));
@@ -99,148 +90,159 @@ TEST(ParallelAggregateTest, MatchesSerialAtAllDops) {
                      {AggFn::kAvg, 2, "mean"},
                      {AggFn::kMin, 2, "lo"},
                      {AggFn::kMax, 2, "hi"}};
-  const std::vector<Row> serial = ParallelExecutor::Shared().Run(plan, Opts(1));
-  ASSERT_EQ(serial.size(), 8u);
-  for (size_t dop : {2u, 8u}) {
-    // Partial merge is exact (avg divides only at finalize) and groups emit
-    // in key order, so parallel output is identical, not just equivalent.
-    EXPECT_EQ(ParallelExecutor::Shared().Run(plan, Opts(dop)), serial)
-        << "dop=" << dop;
-  }
+  return plan;
 }
 
-TEST(ParallelTopKTest, MatchesSerialAtAllDops) {
-  auto rows = MakeRows(10000);
-  MorselPlan plan;
-  plan.source_schema = BaseSchema();
-  plan.source_rows = rows;
+MorselPlan TopKPlan(const std::vector<Row>& rows) {
+  MorselPlan plan = PlanOver(rows);
   plan.sink = MorselPlan::Sink::kTopK;
   plan.sort_keys = {{2, /*ascending=*/false}, {0, true}};
   plan.top_k = 25;
-  const std::vector<Row> serial = ParallelExecutor::Shared().Run(plan, Opts(1));
-  ASSERT_EQ(serial.size(), 25u);
-  for (size_t dop : {2u, 8u}) {
-    EXPECT_EQ(ParallelExecutor::Shared().Run(plan, Opts(dop)), serial)
-        << "dop=" << dop;
-  }
+  return plan;
 }
 
-TEST(ParallelJoinTest, SharedTableProbeMatchesSerial) {
-  auto rows = MakeRows(6000);
-  // Build side: grp -> label, probed by every worker.
+// Build side: grp -> label, built when the plan runs and probed by every
+// worker.
+MorselPlan JoinPlan(const std::vector<Row>& rows) {
+  MorselPlan plan = PlanOver(rows);
   Schema build_schema{{"g", "label"}};
   std::vector<Row> build_rows;
   for (int g = 0; g < 8; ++g) {
     build_rows.push_back(
         {Value::Int(g), Value::String("g" + std::to_string(g))});
   }
-  RowSourceOp build_source(build_schema, std::move(build_rows));
-  std::shared_ptr<const JoinHashTable> table =
-      JoinHashTable::Build(&build_source, 0);
-
-  MorselPlan plan;
-  plan.source_schema = BaseSchema();
-  plan.source_rows = rows;
+  auto table = std::make_shared<JoinHashTable>(build_schema, 0);
+  plan.builds.push_back(
+      {std::make_unique<RowSourceOp>(build_schema, std::move(build_rows)),
+       table});
   plan.make_pipeline = [table](OperatorPtr source) {
     OperatorPtr probe =
         std::make_unique<HashProbeOp>(std::move(source), table, 1);
     std::vector<Predicate> predicates{{2, CompareOp::kGe, Value::Double(5000.0)}};
     return std::make_unique<FilterOp>(std::move(probe), std::move(predicates));
   };
-  const std::vector<Row> serial = ParallelExecutor::Shared().Run(plan, Opts(1));
+  return plan;
+}
+
+std::vector<Row> RunPlan(MorselPlan plan, size_t dop) {
+  return ParallelExecutor::Shared().Run(std::move(plan), Opts(dop));
+}
+
+// ------------------------------------------------- serial/parallel parity
+
+TEST(ParallelCollectTest, MatchesSerialAtAllDops) {
+  const std::vector<Row> rows = MakeRows(kManyBatches);
+  const std::vector<Row> serial = RunPlan(FilterProjectPlan(rows), 1);
+  ASSERT_FALSE(serial.empty());
+  for (size_t dop : {2u, 8u}) {
+    // Collect sinks concatenate per-claim outputs in claim order, so the
+    // result is byte-identical to serial — not just a permutation.
+    EXPECT_EQ(RunPlan(FilterProjectPlan(rows), dop), serial) << "dop=" << dop;
+  }
+}
+
+TEST(ParallelAggregateTest, MatchesSerialAtAllDops) {
+  const std::vector<Row> rows = MakeRows(kManyBatches);
+  const std::vector<Row> serial = RunPlan(AggregatePlan(rows), 1);
+  ASSERT_EQ(serial.size(), 8u);
+  for (size_t dop : {2u, 8u}) {
+    // Partial merge is exact (avg divides only at finalize) and groups emit
+    // in key order, so parallel output is identical, not just equivalent.
+    EXPECT_EQ(RunPlan(AggregatePlan(rows), dop), serial) << "dop=" << dop;
+  }
+}
+
+TEST(ParallelTopKTest, MatchesSerialAtAllDops) {
+  const std::vector<Row> rows = MakeRows(kManyBatches);
+  const std::vector<Row> serial = RunPlan(TopKPlan(rows), 1);
+  ASSERT_EQ(serial.size(), 25u);
+  for (size_t dop : {2u, 8u}) {
+    EXPECT_EQ(RunPlan(TopKPlan(rows), dop), serial) << "dop=" << dop;
+  }
+}
+
+TEST(ParallelJoinTest, SharedTableProbeMatchesSerial) {
+  const std::vector<Row> rows = MakeRows(kManyBatches);
+  const std::vector<Row> serial = RunPlan(JoinPlan(rows), 1);
   ASSERT_FALSE(serial.empty());
   ASSERT_EQ(serial.front().size(), 5u);  // probe schema = left ++ build
   for (size_t dop : {2u, 8u}) {
-    ExpectSameRows(ParallelExecutor::Shared().Run(plan, Opts(dop)), serial);
+    ExpectSameRows(RunPlan(JoinPlan(rows), dop), serial);
   }
 }
 
 // ------------------------------------------------------------ edge cases
 
 TEST(ParallelEdgeTest, EmptyInputAllSinks) {
-  auto empty = std::make_shared<std::vector<Row>>();
+  const std::vector<Row> empty;
   for (size_t dop : {1u, 2u, 8u}) {
-    MorselPlan collect = FilterProjectPlan(empty);
-    EXPECT_TRUE(ParallelExecutor::Shared().Run(collect, Opts(dop)).empty());
+    EXPECT_TRUE(RunPlan(FilterProjectPlan(empty), dop).empty());
 
-    MorselPlan agg;
-    agg.source_schema = BaseSchema();
-    agg.source_rows = empty;
+    MorselPlan agg = PlanOver(empty);
     agg.sink = MorselPlan::Sink::kAggregate;
     agg.group_columns = {1};
     agg.aggregates = {{AggFn::kCount, -1, "n"}};
-    EXPECT_TRUE(ParallelExecutor::Shared().Run(agg, Opts(dop)).empty());
+    EXPECT_TRUE(RunPlan(std::move(agg), dop).empty());
 
-    MorselPlan topk;
-    topk.source_schema = BaseSchema();
-    topk.source_rows = empty;
+    MorselPlan topk = PlanOver(empty);
     topk.sink = MorselPlan::Sink::kTopK;
     topk.sort_keys = {{0, true}};
     topk.top_k = 5;
-    EXPECT_TRUE(ParallelExecutor::Shared().Run(topk, Opts(dop)).empty());
+    EXPECT_TRUE(RunPlan(std::move(topk), dop).empty());
   }
 }
 
 TEST(ParallelEdgeTest, SingleMorselRunsInlineEvenAtHighDop) {
-  auto rows = MakeRows(100);  // < morsel_rows => one morsel
-  MorselPlan plan = FilterProjectPlan(rows);
-  ExecOptions options;
-  options.dop = 8;
-  options.morsel_rows = 4096;
-  ExecOptions serial = options;
-  serial.dop = 1;
-  EXPECT_EQ(ParallelExecutor::Shared().Run(plan, options),
-            ParallelExecutor::Shared().Run(plan, serial));
+  const std::vector<Row> rows = MakeRows(100);  // one source batch
+  EXPECT_EQ(RunPlan(FilterProjectPlan(rows), 8), RunPlan(FilterProjectPlan(rows), 1));
 }
 
 TEST(ParallelEdgeTest, GlobalAggregateSingleGroup) {
-  auto rows = MakeRows(5000);
-  MorselPlan plan;
-  plan.source_schema = BaseSchema();
-  plan.source_rows = rows;
-  plan.sink = MorselPlan::Sink::kAggregate;
-  plan.aggregates = {{AggFn::kCount, -1, "n"}, {AggFn::kSum, 2, "total"}};
-  const std::vector<Row> serial = ParallelExecutor::Shared().Run(plan, Opts(1));
+  const std::vector<Row> rows = MakeRows(5000);
+  auto plan = [&rows] {
+    MorselPlan plan = PlanOver(rows);
+    plan.sink = MorselPlan::Sink::kAggregate;
+    plan.aggregates = {{AggFn::kCount, -1, "n"}, {AggFn::kSum, 2, "total"}};
+    return plan;
+  };
+  const std::vector<Row> serial = RunPlan(plan(), 1);
   ASSERT_EQ(serial.size(), 1u);
   EXPECT_EQ(serial[0][0], Value::Int(5000));
   for (size_t dop : {2u, 8u}) {
-    EXPECT_EQ(ParallelExecutor::Shared().Run(plan, Opts(dop)), serial);
+    EXPECT_EQ(RunPlan(plan(), dop), serial);
   }
 }
 
-// ----------------------------------------------------- queue & executor
+// ------------------------------------------------ claiming & executor
 
-TEST(MorselQueueTest, DealsAllMorselsExactlyOnce) {
-  MorselQueue queue(10000, 256, 4);
-  std::vector<bool> seen(queue.num_morsels(), false);
-  size_t popped = 0;
-  MorselQueue::Morsel morsel;
-  for (size_t worker = 0; worker < 4; ++worker) {
-    while (queue.Pop(worker, &morsel)) {
-      EXPECT_FALSE(seen[morsel.id]);
-      seen[morsel.id] = true;
-      ++popped;
-      if (popped % 7 == 0) break;  // rotate workers to force steals later
+// Skewed pipeline: the first half of the source batches pass the filter
+// whole, the second half not at all, so workers that claim early batches
+// do all the output work. Dynamic claiming must still emit every passing
+// row exactly once, in the serial order.
+TEST(ParallelClaimTest, SkewedBatchesComeOutOnceInSerialOrder) {
+  const size_t batches = 16;
+  const std::vector<Row> rows = MakeRows(batches * kDefaultBatchRows);
+  const int64_t cutoff = static_cast<int64_t>(batches / 2 * kDefaultBatchRows);
+  auto plan = [&] {
+    MorselPlan plan = PlanOver(rows);
+    plan.make_pipeline = [cutoff](OperatorPtr source) {
+      std::vector<Predicate> predicates{
+          {0, CompareOp::kLt, Value::Int(cutoff)}};
+      return std::make_unique<FilterOp>(std::move(source),
+                                        std::move(predicates));
+    };
+    return plan;
+  };
+  const std::vector<Row> serial = RunPlan(plan(), 1);
+  ASSERT_EQ(serial.size(), static_cast<size_t>(cutoff));
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    const std::vector<Row> parallel = RunPlan(plan(), 8);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t i = 0; i < parallel.size(); ++i) {
+      ASSERT_EQ(parallel[i][0], Value::Int(static_cast<int64_t>(i)));
     }
+    EXPECT_EQ(parallel, serial);
   }
-  // Drain the remainder from one worker (all steals).
-  while (queue.Pop(0, &morsel)) {
-    EXPECT_FALSE(seen[morsel.id]);
-    seen[morsel.id] = true;
-    ++popped;
-  }
-  EXPECT_EQ(popped, queue.num_morsels());
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
-}
-
-TEST(MorselQueueTest, StealingCoversSkewedLanes) {
-  MorselQueue queue(4096, 64, 8);
-  // Worker 7 drains everything; all but its own lane's morsels are steals.
-  size_t popped = 0;
-  MorselQueue::Morsel morsel;
-  while (queue.Pop(7, &morsel)) ++popped;
-  EXPECT_EQ(popped, queue.num_morsels());
-  EXPECT_GT(queue.steals(), 0u);
 }
 
 TEST(RunTasksTest, RunsEveryTaskOnceAtAnyDop) {
@@ -264,8 +266,9 @@ TEST(ParallelSqlTest, RunSqlMatchesSerialAcrossShapes) {
   auto customers = std::make_shared<query::MemTable>(
       "customers", Schema{{"cid", "region"}});
   Rng rng(7);
-  for (int i = 0; i < 5000; ++i) {
-    orders->AddRow({Value::Int(i), Value::Int(static_cast<int64_t>(rng.Next() % 50)),
+  for (size_t i = 0; i < kManyBatches; ++i) {
+    orders->AddRow({Value::Int(static_cast<int64_t>(i)),
+                    Value::Int(static_cast<int64_t>(rng.Next() % 50)),
                     Value::Double(static_cast<double>(rng.Next() % 1000))});
   }
   for (int c = 0; c < 50; ++c) {
@@ -294,11 +297,62 @@ TEST(ParallelSqlTest, RunSqlMatchesSerialAcrossShapes) {
     for (size_t dop : {2u, 8u}) {
       ExecOptions options;
       options.dop = dop;
-      options.morsel_rows = 512;
       auto parallel = query::RunSql(sql, catalog, &planner, options);
       ASSERT_TRUE(parallel.ok()) << sql;
       EXPECT_EQ(*parallel, *serial) << sql << " dop=" << dop;
     }
+  }
+}
+
+// Building a plan — serial or morsel-parallel, by either planner — reads
+// no rows: scans and hash-join builds run only when the plan does.
+TEST(ParallelSqlTest, PlanningReadsNoRows) {
+  query::Catalog catalog;
+  auto orders = std::make_shared<query::MemTable>(
+      "orders", Schema{{"id", "customer", "total"}});
+  auto customers = std::make_shared<query::MemTable>(
+      "customers", Schema{{"cid", "region"}});
+  for (int i = 0; i < 3000; ++i) {
+    orders->AddRow({Value::Int(i), Value::Int(i % 50), Value::Double(i % 97)});
+  }
+  for (int c = 0; c < 50; ++c) {
+    customers->AddRow({Value::Int(c), Value::String(c % 2 ? "east" : "west")});
+  }
+  catalog.Register(orders);
+  catalog.Register(customers);
+  const std::string sql =
+      "SELECT region, SUM(total) AS s FROM orders JOIN customers "
+      "ON customer = cid WHERE total > 10 GROUP BY region";
+  auto stmt = query::ParseSql(sql);
+  ASSERT_TRUE(stmt.ok());
+
+  query::opt::TableStatsCache stats;
+  query::opt::CostAwarePlanner optimizer(&stats);
+  query::SimplePlanner simple;
+  // The optimizer's first sight of a table collects its statistics; that
+  // sample is not part of planning.
+  ASSERT_TRUE(query::RunSql(sql, catalog, &optimizer).ok());
+
+  auto scanned = [] {
+    uint64_t total = 0;
+    for (const char* name :
+         {"scan.segments_visited", "scan.segments_skipped",
+          "scan.blocks_decoded", "scan.blocks_skipped", "scan.rows_decoded"}) {
+      total += obs::Registry::Global().GetCounter(name)->Value();
+    }
+    return total;
+  };
+  for (query::Planner* planner :
+       std::vector<query::Planner*>{&simple, &optimizer}) {
+    const uint64_t before = scanned();
+    auto plan = planner->Plan(*stmt, catalog);
+    ASSERT_TRUE(plan.ok());
+    auto parallel = planner->PlanParallel(*stmt, catalog);
+    ASSERT_TRUE(parallel.ok());
+    ASSERT_TRUE(parallel->has_value());
+    EXPECT_EQ(scanned(), before);
+    ParallelExecutor::Shared().Run(std::move((*parallel)->segment), Opts(2));
+    EXPECT_GE(scanned(), before + 3000 + 50);
   }
 }
 

@@ -21,6 +21,7 @@
 
 #include "common/fault_injector.h"
 #include "core/impliance.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace impliance::core {
@@ -653,6 +654,62 @@ TEST(SqlProjectionTest, FirstScanOfAKindIsTraced) {
   const std::string sql = "SELECT city, COUNT(*) FROM order GROUP BY city";
   EXPECT_EQ(traced_spans(sql).count("core.project"), 1u);
   EXPECT_EQ(traced_spans(sql).count("core.project"), 0u);
+}
+
+// Planning reads no rows: EXPLAIN of a GROUP BY over 20,000 orders and of
+// a hash join of two kinds decodes nothing — scans open only when a plan
+// runs — and renders the same plan text as when planning drained them.
+TEST(SqlProjectionTest, ExplainDecodesNoRows) {
+  TempDir dir("explain");
+  auto impliance = Open({.data_dir = dir.path()});
+  ASSERT_TRUE(impliance->InfuseContent("order", OrdersCsv(0, 20000)).ok());
+  ASSERT_TRUE(impliance
+                  ->InfuseContent("region",
+                                  "place,zone\nlondon,emea\nparis,emea\n"
+                                  "tokyo,apac\nlima,latam\n")
+                  .ok());
+  const std::string group_by =
+      "SELECT city, COUNT(*), SUM(total) FROM order GROUP BY city";
+  // Selective enough on `order` that the cost planner builds the hash
+  // table on it rather than probing the value index per region.
+  const std::string join =
+      "SELECT zone, SUM(total) FROM order JOIN region ON city = place "
+      "WHERE total < 10 GROUP BY zone";
+  const std::map<std::pair<std::string, std::string>, std::string> golden = {
+      {{group_by, "cost"},
+       "Project(city, count, sum_total) [rows~4 cost~0]\n"
+       "  HashAggregate(groups=1, aggs=2) [rows~4 cost~20000]\n"
+       "    Scan(order) [rows~20000 cost~20000]"},
+      {{group_by, "simple"}, "HashAggregate(groups=1, aggs=2)\nScan(order)"},
+      {{join, "cost"},
+       "Project(zone, sum_total) [rows~3 cost~0]\n"
+       "  HashAggregate(groups=1, aggs=1) [rows~3 cost~200]\n"
+       "    Reorder(textual column layout) [rows~200 cost~0]\n"
+       "      HashJoin(build=order) [rows~200 cost~705]\n"
+       "        Scan(region) [rows~4 cost~4]\n"
+       "        Filter(total < 10) [rows~200 cost~20]\n"
+       "          IndexRange(order.total) [rows~200 cost~400]"},
+      {{join, "simple"},
+       "HashAggregate(groups=1, aggs=1)\nAdaptiveFilter(1 predicates)\n"
+       "HashJoin(build=region)\nIndexRange(order.total)"},
+  };
+  // Running each statement first builds the projections and the
+  // optimizer's statistics, which are not part of planning.
+  for (const auto& [key, text] : golden) {
+    ASSERT_FALSE(RunSql(*impliance, key.first, key.second).empty());
+  }
+  obs::Counter* decoded =
+      obs::Registry::Global().GetCounter("scan.rows_decoded");
+  const uint64_t before = decoded->Value();
+  for (const auto& [key, text] : golden) {
+    auto explain = impliance->ExplainSql(key.first, key.second);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_EQ(explain->text, text) << key.second << ": " << key.first;
+  }
+  EXPECT_EQ(decoded->Value(), before);
+  // Running the plan does decode.
+  RunSql(*impliance, group_by);
+  EXPECT_GE(decoded->Value(), before + 20000);
 }
 
 }  // namespace
