@@ -7,8 +7,12 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "index/btree.h"
+#include "index/facet_index.h"
 #include "index/inverted_index.h"
+#include "index/path_index.h"
+#include "index/value_index.h"
 #include "model/document.h"
+#include "query/faceted.h"
 #include "storage/bloom.h"
 
 namespace impliance {
@@ -138,6 +142,38 @@ void BM_InvertedIndexSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InvertedIndexSearch);
+
+// ----------------------------------------------------------------- faceted
+
+// One facet over a kind: 20k orders, /doc/city counts over 8 cities and
+// sum(/doc/total), candidates from the kind alone (no keywords), DOP 1.
+void BM_FacetedSearch(benchmark::State& state) {
+  Rng rng(8);
+  index::InvertedIndex inverted;
+  index::PathIndex paths;
+  index::FacetIndex facets;
+  index::ValueIndex values;
+  for (int i = 0; i < 20000; ++i) {
+    model::Document doc = model::MakeRecordDocument(
+        "order",
+        {{"city", model::Value::String("city" + std::to_string(rng.Uniform(8)))},
+         {"total", model::Value::Double(rng.UniformInt(1, 100000) / 100.0)}});
+    doc.id = static_cast<model::DocId>(i + 1);
+    paths.AddDocument(doc);
+    facets.AddDocument(doc);
+    values.AddDocument(doc);
+  }
+  query::FacetedSearch search(&inverted, &paths, &facets, &values);
+  query::FacetedQuery query;
+  query.kind = "order";
+  query.facet_paths = {"/doc/city"};
+  query.aggregates = {{"/doc/total", "sum"}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(search.Run(query));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FacetedSearch)->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------------- document
 

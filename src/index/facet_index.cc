@@ -30,27 +30,13 @@ void FacetIndex::RemoveDocument(const model::Document& doc) {
 }
 
 std::vector<FacetIndex::FacetCount> FacetIndex::CountFacet(
-    std::string_view path, const std::vector<model::DocId>& candidates,
+    std::string_view path, const DocBitmap& candidates,
     size_t max_values) const {
   auto path_it = facets_.find(path);
   if (path_it == facets_.end()) return {};
   std::vector<FacetCount> counts;
   for (const auto& [value, docs] : path_it->second) {
-    // Both lists are sorted; count the intersection size.
-    size_t n = 0;
-    auto ci = candidates.begin();
-    auto di = docs.begin();
-    while (ci != candidates.end() && di != docs.end()) {
-      if (*ci < *di) {
-        ++ci;
-      } else if (*di < *ci) {
-        ++di;
-      } else {
-        ++n;
-        ++ci;
-        ++di;
-      }
-    }
+    const size_t n = candidates.CountIn(docs);
     if (n > 0) counts.push_back(FacetCount{value, n});
   }
   std::sort(counts.begin(), counts.end(),
@@ -79,18 +65,12 @@ std::vector<FacetIndex::FacetCount> FacetIndex::CountFacetAll(
   return counts;
 }
 
-std::vector<model::DocId> FacetIndex::Restrict(
-    std::string_view path, const model::Value& value,
-    const std::vector<model::DocId>& candidates) const {
-  std::vector<model::DocId> with_value = DocsWithValue(path, value);
-  std::vector<model::DocId> out;
-  std::set_intersection(candidates.begin(), candidates.end(),
-                        with_value.begin(), with_value.end(),
-                        std::back_inserter(out));
-  return out;
+void FacetIndex::Restrict(std::string_view path, const model::Value& value,
+                          DocBitmap* candidates) const {
+  candidates->IntersectSorted(DocsWithValue(path, value));
 }
 
-std::vector<model::DocId> FacetIndex::DocsWithValue(
+std::span<const model::DocId> FacetIndex::DocsWithValue(
     std::string_view path, const model::Value& value) const {
   auto path_it = facets_.find(path);
   if (path_it == facets_.end()) return {};

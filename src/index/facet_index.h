@@ -2,10 +2,12 @@
 #define IMPLIANCE_INDEX_FACET_INDEX_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "index/doc_bitmap.h"
 #include "model/document.h"
 #include "model/value.h"
 
@@ -13,8 +15,8 @@ namespace impliance::index {
 
 // Facet counting structure for the guided-search interface (Section 3.2.1):
 // per path, per distinct value, the sorted list of documents carrying it.
-// Drill-down restricts a candidate set by a facet value; counting produces
-// the navigational links shown next to search results.
+// Drill-down restricts a candidate bitmap by a facet value; counting
+// produces the navigational links shown next to search results.
 //
 // Not internally synchronized.
 class FacetIndex {
@@ -27,27 +29,26 @@ class FacetIndex {
   void AddDocument(const model::Document& doc);
   void RemoveDocument(const model::Document& doc);
 
-  // Value distribution of `path` over `candidates` (sorted doc ids),
-  // descending by count then ascending by value. At most `max_values`.
+  // Value distribution of `path` over `candidates`, descending by count
+  // then ascending by value. At most `max_values`.
   std::vector<FacetCount> CountFacet(std::string_view path,
-                                     const std::vector<model::DocId>& candidates,
+                                     const DocBitmap& candidates,
                                      size_t max_values) const;
 
   // Value distribution of `path` over the whole corpus.
   std::vector<FacetCount> CountFacetAll(std::string_view path,
                                         size_t max_values) const;
 
-  // Members of `candidates` whose `path` equals `value` (drill-down).
-  std::vector<model::DocId> Restrict(std::string_view path,
-                                     const model::Value& value,
-                                     const std::vector<model::DocId>&
-                                         candidates) const;
-
-  // All documents with `path` == `value`, ascending.
-  std::vector<model::DocId> DocsWithValue(std::string_view path,
-                                          const model::Value& value) const;
+  // Drill-down: drops the members of `candidates` whose `path` is not
+  // `value`.
+  void Restrict(std::string_view path, const model::Value& value,
+                DocBitmap* candidates) const;
 
  private:
+  // Documents with `path` == `value`, ascending (empty when none).
+  std::span<const model::DocId> DocsWithValue(std::string_view path,
+                                              const model::Value& value) const;
+
   // path -> value -> sorted doc ids.
   std::map<std::string, std::map<model::Value, std::vector<model::DocId>>,
            std::less<>>

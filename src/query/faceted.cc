@@ -2,78 +2,73 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 
 #include "exec/parallel.h"
+#include "obs/trace.h"
 
 namespace impliance::query {
 
-FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
-  FacetedResult result;
-
-  // 1. Candidate set. Keywords -> ranked; else all docs of the kind (or all
-  // docs with any indexed path).
-  std::vector<model::DocId> candidates;          // sorted by id
-  std::vector<model::DocId> ranked;              // keyword order
+index::DocBitmap FacetedSearch::Candidates(
+    const FacetedQuery& query, std::vector<model::DocId>* ranked) const {
+  // 1. Keywords -> ranked hits; else all docs of the kind (or all docs with
+  // any indexed path).
+  index::DocBitmap candidates;
   if (!query.keywords.empty()) {
     for (const auto& hit :
          inverted_->Search(query.keywords, static_cast<size_t>(-1))) {
-      ranked.push_back(hit.doc);
+      ranked->push_back(hit.doc);
     }
-    candidates = ranked;
-    std::sort(candidates.begin(), candidates.end());
+    candidates = index::DocBitmap::Of(*ranked);
+    // 2. Kind restriction when keywords were also given.
+    if (!query.kind.empty()) {
+      candidates.IntersectSorted(paths_->KindDocs(query.kind));
+    }
   } else if (!query.kind.empty()) {
-    candidates = paths_->DocsOfKind(query.kind);
+    candidates = index::DocBitmap::Of(paths_->KindDocs(query.kind));
   } else {
+    std::vector<model::DocId> all;
     for (const std::string& kind : paths_->Kinds()) {
-      std::vector<model::DocId> docs = paths_->DocsOfKind(kind);
-      candidates.insert(candidates.end(), docs.begin(), docs.end());
+      std::span<const model::DocId> docs = paths_->KindDocs(kind);
+      all.insert(all.end(), docs.begin(), docs.end());
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-  }
-
-  // 2. Kind restriction when keywords were also given.
-  if (!query.keywords.empty() && !query.kind.empty()) {
-    std::vector<model::DocId> of_kind = paths_->DocsOfKind(query.kind);
-    std::vector<model::DocId> merged;
-    std::set_intersection(candidates.begin(), candidates.end(),
-                          of_kind.begin(), of_kind.end(),
-                          std::back_inserter(merged));
-    candidates = std::move(merged);
+    candidates = index::DocBitmap::Of(all);
   }
 
   // 2b. Availability restriction: drop candidates the caller knows it
   // cannot legitimately serve, before any counting happens.
   if (query.exclude != nullptr) {
-    candidates.erase(
-        std::remove_if(candidates.begin(), candidates.end(),
-                       [&query](model::DocId doc) {
-                         return query.exclude->contains(doc);
-                       }),
-        candidates.end());
+    for (model::DocId doc : *query.exclude) candidates.Clear(doc);
   }
 
   // 3. Drill-downs.
   for (const auto& [path, value] : query.drilldowns) {
-    candidates = facets_->Restrict(path, value, candidates);
+    facets_->Restrict(path, value, &candidates);
   }
-  result.total_matches = candidates.size();
+  return candidates;
+}
 
-  // 4. Top-k results. Preserve keyword ranking when present.
-  if (!ranked.empty()) {
-    std::vector<model::DocId> kept(candidates.begin(), candidates.end());
-    std::sort(kept.begin(), kept.end());
-    for (model::DocId doc : ranked) {
-      if (std::binary_search(kept.begin(), kept.end(), doc)) {
-        result.docs.push_back(doc);
+FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
+  FacetedResult result;
+  std::vector<model::DocId> ranked;  // keyword order
+  index::DocBitmap candidates;
+  {
+    obs::ScopedSpan candidates_span("facet.candidates");
+    candidates = Candidates(query, &ranked);
+    result.total_matches = candidates.Count();
+
+    // 4. Top-k results. Preserve keyword ranking when present.
+    if (!ranked.empty()) {
+      for (model::DocId doc : ranked) {
         if (result.docs.size() >= query.top_k) break;
+        if (candidates.Contains(doc)) result.docs.push_back(doc);
       }
-    }
-  } else {
-    for (model::DocId doc : candidates) {
-      result.docs.push_back(doc);
-      if (result.docs.size() >= query.top_k) break;
+    } else {
+      candidates.ForEach([&](model::DocId doc) {
+        if (result.docs.size() >= query.top_k) return false;
+        result.docs.push_back(doc);
+        return true;
+      });
     }
   }
 
@@ -113,10 +108,7 @@ FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
       buckets.back().open_above = true;
       values_->Scan(range.path,
                     [&](const model::Value& value, model::DocId doc) {
-                      if (!std::binary_search(candidates.begin(),
-                                              candidates.end(), doc)) {
-                        return true;
-                      }
+                      if (!candidates.Contains(doc)) return true;
                       const double v = value.AsDouble();
                       size_t bucket = 0;
                       while (bucket < range.boundaries.size() &&
@@ -137,9 +129,7 @@ FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
       double sum = 0, min = 0, max = 0;
       size_t count = 0;
       values_->Scan(path, [&](const model::Value& value, model::DocId doc) {
-        if (!std::binary_search(candidates.begin(), candidates.end(), doc)) {
-          return true;
-        }
+        if (!candidates.Contains(doc)) return true;
         const double v = value.AsDouble();
         if (count == 0) {
           min = v;
@@ -166,7 +156,10 @@ FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
     });
   }
 
-  exec::ParallelExecutor::Shared().RunTasks(std::move(tasks), dop_);
+  {
+    obs::ScopedSpan count_span("facet.count");
+    exec::ParallelExecutor::Shared().RunTasks(std::move(tasks), dop_);
+  }
 
   for (size_t i = 0; i < query.facet_paths.size(); ++i) {
     result.facets[query.facet_paths[i]] = std::move(facet_slots[i]);

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "index/doc_bitmap.h"
 #include "index/facet_index.h"
 #include "index/inverted_index.h"
 #include "index/path_index.h"
@@ -83,6 +84,11 @@ class FacetedSearch {
   FacetedResult Run(const FacetedQuery& query) const;
 
  private:
+  // The matching set after keywords, kind, exclusion and drill-downs. With
+  // keywords, `ranked` receives every hit in score order.
+  index::DocBitmap Candidates(const FacetedQuery& query,
+                              std::vector<model::DocId>* ranked) const;
+
   const index::InvertedIndex* inverted_;
   const index::PathIndex* paths_;
   const index::FacetIndex* facets_;

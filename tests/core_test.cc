@@ -377,6 +377,41 @@ TEST(ImplianceTest, FacetedSearchWithDrilldown) {
   EXPECT_DOUBLE_EQ(result.aggregate_values.at("sum(/doc/hours)"), 5.0);
 }
 
+// top_k = 0 returns no documents and top_k = 1 returns one, with and
+// without keywords, on a single node and through the scale-out tier alike.
+TEST(ImplianceTest, FacetedTopKZeroAndOne) {
+  for (size_t nodes : {0u, 4u}) {
+    SCOPED_TRACE("data nodes: " + std::to_string(nodes));
+    TempDir dir("faceted_k0_" + std::to_string(nodes));
+    auto opened = Impliance::Open(
+        {.data_dir = dir.path(), .scale_out_data_nodes = nodes});
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto impliance = std::move(opened).value();
+    ASSERT_TRUE(impliance
+                    ->InfuseContent("ticket",
+                                    "region,text\n"
+                                    "emea,refund is late\n"
+                                    "amer,second refund request\n")
+                    .ok());
+    for (const std::string keywords : {"", "refund"}) {
+      SCOPED_TRACE("keywords: '" + keywords + "'");
+      query::FacetedQuery faceted;
+      faceted.keywords = keywords;
+      faceted.kind = "ticket";
+      faceted.facet_paths = {"/doc/region"};
+      faceted.top_k = 0;
+      auto result = impliance->Faceted(faceted);
+      EXPECT_TRUE(result.docs.empty());
+      EXPECT_EQ(result.total_matches, 2u);
+      EXPECT_EQ(result.facets.at("/doc/region").size(), 2u);
+      faceted.top_k = 1;
+      result = impliance->Faceted(faceted);
+      EXPECT_EQ(result.docs.size(), 1u);
+      EXPECT_EQ(result.total_matches, 2u);
+    }
+  }
+}
+
 // ------------------------------------------------------- End-to-end corpus
 
 TEST(ImplianceTest, FullCorpusEndToEnd) {

@@ -497,15 +497,59 @@ TEST(FacetIndexTest, CountsAndDrillDown) {
   EXPECT_EQ(counts[1].count, 1u);
 
   // Drill-down within a candidate set.
-  std::vector<DocId> candidates = {2, 3};
+  const std::vector<DocId> ids = {2, 3};
+  DocBitmap candidates = DocBitmap::Of(ids);
   counts = idx.CountFacet("/doc/city", candidates, 10);
   ASSERT_EQ(counts.size(), 2u);
   EXPECT_EQ(counts[0].count, 1u);
 
-  std::vector<DocId> restricted =
-      idx.Restrict("/doc/city", Value::String("london"), candidates);
-  ASSERT_EQ(restricted.size(), 1u);
-  EXPECT_EQ(restricted[0], 2u);
+  idx.Restrict("/doc/city", Value::String("london"), &candidates);
+  EXPECT_EQ(candidates.Count(), 1u);
+  EXPECT_TRUE(candidates.Contains(2));
+  EXPECT_FALSE(candidates.Contains(3));
+}
+
+TEST(DocBitmapTest, MembershipStaysInsideTheRange) {
+  const std::vector<DocId> ids = {130, 70, 64, 200};
+  DocBitmap bitmap = DocBitmap::Of(ids);  // covers [64, 200]
+  EXPECT_EQ(bitmap.Count(), 4u);
+  for (DocId id : ids) EXPECT_TRUE(bitmap.Contains(id));
+  for (DocId id : {DocId{0}, DocId{1}, DocId{63}, DocId{65}, DocId{201},
+                   DocId{256}, DocId{1000000}}) {
+    EXPECT_FALSE(bitmap.Contains(id)) << id;
+  }
+  // Clearing outside the range is a no-op.
+  bitmap.Clear(1);
+  bitmap.Clear(5000);
+  bitmap.Clear(70);
+  EXPECT_EQ(bitmap.Count(), 3u);
+
+  const std::vector<DocId> sorted = {1, 64, 65, 130, 199, 200, 9000};
+  EXPECT_EQ(bitmap.CountIn(sorted), 3u);
+  std::vector<DocId> walked;
+  bitmap.ForEach([&](DocId id) {
+    walked.push_back(id);
+    return walked.size() < 2;
+  });
+  EXPECT_EQ(walked, (std::vector<DocId>{64, 130}));
+
+  const std::vector<DocId> keep = {2, 130, 200, 300};
+  bitmap.IntersectSorted(keep);
+  EXPECT_EQ(bitmap.Count(), 2u);
+  EXPECT_FALSE(bitmap.Contains(64));
+  EXPECT_TRUE(bitmap.Contains(130));
+  EXPECT_TRUE(bitmap.Contains(200));
+
+  DocBitmap empty = DocBitmap::Of({});
+  EXPECT_EQ(empty.Count(), 0u);
+  EXPECT_FALSE(empty.Contains(0));
+  EXPECT_EQ(empty.CountIn(sorted), 0u);
+  empty.Clear(3);
+  empty.IntersectSorted(sorted);
+  empty.ForEach([](DocId) {
+    ADD_FAILURE() << "empty bitmap has a member";
+    return true;
+  });
 }
 
 TEST(FacetIndexTest, MaxValuesTruncates) {

@@ -85,14 +85,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValueIndexPropertyTest,
 
 class FacetPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Candidates are a random window of ids over a corpus with removed
+// documents: the window has gaps, may be empty, and the facet values also
+// lie on documents below and above it.
 TEST_P(FacetPropertyTest, DrilldownCountsMatchOracle) {
   Rng rng(GetParam());
   index::FacetIndex idx;
   std::map<DocId, std::pair<std::string, std::string>> oracle;  // id->(c1,c2)
   const std::vector<std::string> colors = {"red", "green", "blue"};
   const std::vector<std::string> sizes = {"s", "m", "l", "xl"};
+  constexpr DocId kMaxId = 300;
 
-  for (DocId id = 1; id <= 300; ++id) {
+  std::map<DocId, Document> docs;
+  for (DocId id = 1; id <= kMaxId; ++id) {
     std::string color = rng.Pick(colors);
     std::string size = rng.Pick(sizes);
     Document doc = MakeRecordDocument(
@@ -101,37 +106,75 @@ TEST_P(FacetPropertyTest, DrilldownCountsMatchOracle) {
     doc.id = id;
     idx.AddDocument(doc);
     oracle[id] = {color, size};
+    docs[id] = std::move(doc);
+  }
+  for (DocId id = 1; id <= kMaxId; ++id) {
+    if (rng.Bernoulli(0.15)) {
+      idx.RemoveDocument(docs[id]);
+      oracle.erase(id);
+    }
   }
 
-  for (int q = 0; q < 40; ++q) {
-    // Random candidate subset.
-    std::vector<DocId> candidates;
-    for (DocId id = 1; id <= 300; ++id) {
-      if (rng.Bernoulli(0.4)) candidates.push_back(id);
+  for (int q = 0; q < 60; ++q) {
+    // Random candidate subset of a random window; removed ids may be in it.
+    const DocId lo = static_cast<DocId>(rng.UniformInt(1, kMaxId));
+    const DocId hi = static_cast<DocId>(rng.UniformInt(lo, kMaxId));
+    const double density = rng.Pick(std::vector<double>{0.0, 0.1, 0.4, 1.0});
+    std::vector<DocId> ids;
+    for (DocId id = lo; id <= hi; ++id) {
+      if (rng.Bernoulli(density)) ids.push_back(id);
     }
-    // Facet counts over candidates.
+    index::DocBitmap candidates = index::DocBitmap::Of(ids);
+    std::vector<DocId> live;
+    for (DocId id : ids) {
+      if (oracle.contains(id)) live.push_back(id);
+    }
+
+    // Facet counts over candidates, in the documented order.
     auto counts = idx.CountFacet("/doc/color", candidates, 10);
     std::map<std::string, size_t> expected;
-    for (DocId id : candidates) expected[oracle[id].first]++;
-    size_t total_counted = 0;
-    for (const auto& fc : counts) {
-      ASSERT_EQ(fc.count, expected[fc.value.AsString()]);
-      total_counted += fc.count;
+    for (DocId id : live) expected[oracle[id].first]++;
+    std::vector<std::pair<size_t, std::string>> expected_order;
+    for (const auto& [color, n] : expected) {
+      expected_order.emplace_back(n, color);
     }
-    ASSERT_EQ(total_counted, candidates.size());
-    // Counts are sorted descending.
-    for (size_t i = 1; i < counts.size(); ++i) {
-      ASSERT_GE(counts[i - 1].count, counts[i].count);
+    std::sort(expected_order.begin(), expected_order.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
+    ASSERT_EQ(counts.size(), expected_order.size());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      ASSERT_EQ(counts[i].count, expected_order[i].first);
+      ASSERT_EQ(counts[i].value.AsString(), expected_order[i].second);
     }
-    // Drill-down restriction agrees with the oracle.
-    const std::string& pick = rng.Pick(colors);
-    std::vector<DocId> restricted =
-        idx.Restrict("/doc/color", Value::String(pick), candidates);
+
+    // Conjunctive drill-downs agree with the oracle; "purple" matches none.
+    const std::string color = rng.Pick(std::vector<std::string>{
+        "red", "green", "blue", "purple"});
+    const std::string size = rng.Pick(sizes);
+    idx.Restrict("/doc/color", Value::String(color), &candidates);
+    const bool both = rng.Bernoulli(0.5);
+    if (both) idx.Restrict("/doc/size", Value::String(size), &candidates);
     std::vector<DocId> restricted_expected;
-    for (DocId id : candidates) {
-      if (oracle[id].first == pick) restricted_expected.push_back(id);
+    for (DocId id : live) {
+      if (oracle[id].first == color && (!both || oracle[id].second == size)) {
+        restricted_expected.push_back(id);
+      }
     }
+    std::vector<DocId> restricted;
+    candidates.ForEach([&](DocId id) {
+      restricted.push_back(id);
+      return true;
+    });
     ASSERT_EQ(restricted, restricted_expected);
+    ASSERT_EQ(candidates.Count(), restricted_expected.size());
+    for (DocId id = 0; id <= kMaxId + 70; ++id) {
+      ASSERT_EQ(candidates.Contains(id),
+                std::binary_search(restricted_expected.begin(),
+                                   restricted_expected.end(), id))
+          << id;
+    }
   }
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -398,6 +401,197 @@ TEST(FacetedSearchTest, KindRestrictionWithoutKeywords) {
   FacetedResult result = search.Run(query);
   ASSERT_EQ(result.docs.size(), 1u);
   EXPECT_EQ(result.docs[0], 1u);
+}
+
+// top_k counts answers: 0 returns none, 1 returns the best, in both the
+// ranked and the id-order loop; total_matches does not depend on it.
+TEST(FacetedSearchTest, TopKZeroAndOne) {
+  FacetedFixture fx;
+  for (int i = 0; i < 4; ++i) {
+    Document doc = MakeRecordDocument(
+        "ticket", {{"text", Value::String(i == 2 ? "refund refund late"
+                                                 : "refund late")}});
+    doc.id = static_cast<model::DocId>(i + 5);
+    fx.Add(doc);
+  }
+  FacetedSearch search(&fx.inverted, &fx.paths, &fx.facets, &fx.values);
+  for (const std::string keywords : {"", "refund"}) {
+    SCOPED_TRACE("keywords: '" + keywords + "'");
+    FacetedQuery query;
+    query.keywords = keywords;
+    query.kind = "ticket";
+    query.top_k = 0;
+    FacetedResult result = search.Run(query);
+    EXPECT_TRUE(result.docs.empty());
+    EXPECT_EQ(result.total_matches, 4u);
+    query.top_k = 1;
+    result = search.Run(query);
+    ASSERT_EQ(result.docs.size(), 1u);
+    EXPECT_EQ(result.docs[0], keywords.empty() ? 5u : 7u);
+    EXPECT_EQ(result.total_matches, 4u);
+  }
+}
+
+// The answer equals a brute-force evaluation of keywords, kind, exclusion
+// and drill-downs, at DOP 1 and 8. Three kinds hold consecutive id ranges
+// with gaps, so a kind's candidate range has value-index and facet entries
+// below and above it, and an exclusion set names ids outside it.
+TEST(FacetedSearchTest, MatchesBruteForceOracleAtAnyDop) {
+  struct Truth {
+    std::string kind, region, tier;
+    std::vector<int64_t> totals;  // every /doc/total entry of the document
+  };
+  FacetedFixture fx;
+  std::map<model::DocId, Truth> truth;
+  Rng rng(18);
+  const std::vector<std::string> kinds = {"order", "invoice", "note"};
+  const std::vector<std::string> regions = {"emea", "amer", "apac", "latam"};
+  const std::vector<std::string> tiers = {"gold", "silver"};
+  const std::vector<std::string> words = {"printer", "broken", "refund",
+                                          "late", "fine"};
+  model::DocId next_id = 1;
+  for (const std::string& kind : kinds) {
+    for (int i = 0; i < 150; ++i) {
+      Truth t{kind, rng.Pick(regions), rng.Pick(tiers), {}};
+      std::vector<std::pair<std::string, Value>> fields = {
+          {"region", Value::String(t.region)},
+          {"tier", Value::String(t.tier)},
+          {"text", Value::String(rng.Pick(words) + " " + rng.Pick(words))}};
+      if (kind != "note") {
+        t.totals.push_back(rng.UniformInt(-50, 500));
+        if (rng.Bernoulli(0.2)) t.totals.push_back(rng.UniformInt(600, 1200));
+      }
+      for (int64_t total : t.totals) {
+        fields.emplace_back("total", Value::Int(total));
+      }
+      Document doc = MakeRecordDocument(kind, std::move(fields));
+      doc.id = next_id;
+      next_id += rng.Bernoulli(0.1) ? 2 : 1;  // leave id gaps
+      fx.Add(doc);
+      truth[doc.id] = std::move(t);
+    }
+  }
+  FacetedSearch search(&fx.inverted, &fx.paths, &fx.facets, &fx.values);
+  const std::vector<double> boundaries = {0, 100, 250, 1000};
+  const std::vector<std::string> fns = {"sum", "avg", "min", "max", "count"};
+
+  size_t nonempty = 0;
+  for (int q = 0; q < 60; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    FacetedQuery query;
+    if (rng.Bernoulli(0.5)) {
+      query.keywords = rng.Pick(words);
+      if (rng.Bernoulli(0.5)) query.keywords += " " + rng.Pick(words);
+    }
+    if (rng.Bernoulli(0.7)) query.kind = rng.Pick(kinds);
+    if (rng.Bernoulli(0.4)) {
+      query.drilldowns.emplace_back("/doc/region",
+                                    Value::String(rng.Pick(regions)));
+    }
+    if (rng.Bernoulli(0.3)) {
+      query.drilldowns.emplace_back("/doc/tier",
+                                    Value::String(rng.Pick(tiers)));
+    }
+    if (rng.Bernoulli(0.5)) {
+      auto exclude = std::make_shared<std::unordered_set<model::DocId>>();
+      for (model::DocId id = 0; id < next_id + 10; ++id) {
+        if (rng.Bernoulli(0.1)) exclude->insert(id);
+      }
+      query.exclude = std::move(exclude);
+    }
+    query.facet_paths = {"/doc/region", "/doc/tier"};
+    query.range_facets = {{"/doc/total", boundaries}};
+    for (const std::string& fn : fns) {
+      query.aggregates.emplace_back("/doc/total", fn);
+    }
+    query.top_k = static_cast<size_t>(rng.UniformInt(0, 12));
+
+    // Brute force: keyword hits in rank order (else id order), filtered.
+    std::vector<model::DocId> order;
+    if (!query.keywords.empty()) {
+      for (const auto& hit :
+           fx.inverted.Search(query.keywords, static_cast<size_t>(-1))) {
+        order.push_back(hit.doc);
+      }
+    } else {
+      for (const auto& [doc, t] : truth) order.push_back(doc);
+    }
+    std::vector<model::DocId> matching;
+    for (model::DocId doc : order) {
+      const Truth& t = truth.at(doc);
+      if (!query.kind.empty() && t.kind != query.kind) continue;
+      if (query.exclude != nullptr && query.exclude->contains(doc)) continue;
+      bool drilled = true;
+      for (const auto& [path, value] : query.drilldowns) {
+        const std::string& have = path == "/doc/region" ? t.region : t.tier;
+        drilled = drilled && have == value.string_value();
+      }
+      if (drilled) matching.push_back(doc);
+    }
+    nonempty += !matching.empty();
+    const std::vector<model::DocId> expected_docs(
+        matching.begin(),
+        matching.begin() + std::min(query.top_k, matching.size()));
+    std::map<std::string, std::map<std::string, size_t>> value_counts;
+    std::vector<size_t> bucket_counts(boundaries.size() + 1);
+    double sum = 0, min = 0, max = 0;
+    size_t count = 0;
+    for (model::DocId doc : matching) {
+      const Truth& t = truth.at(doc);
+      ++value_counts["/doc/region"][t.region];
+      ++value_counts["/doc/tier"][t.tier];
+      for (int64_t total : t.totals) {
+        const double v = static_cast<double>(total);
+        bucket_counts[std::upper_bound(boundaries.begin(), boundaries.end(),
+                                       v) -
+                      boundaries.begin()]++;
+        min = count == 0 ? v : std::min(min, v);
+        max = count == 0 ? v : std::max(max, v);
+        sum += v;
+        ++count;
+      }
+    }
+    std::map<std::string, double> expected_aggregates = {
+        {"sum(/doc/total)", sum},
+        {"avg(/doc/total)", count == 0 ? 0.0 : sum / count},
+        {"min(/doc/total)", min},
+        {"max(/doc/total)", max},
+        {"count(/doc/total)", static_cast<double>(count)}};
+
+    for (size_t dop : {1u, 8u}) {
+      SCOPED_TRACE("dop " + std::to_string(dop));
+      search.set_parallelism(dop);
+      const FacetedResult result = search.Run(query);
+      EXPECT_EQ(result.total_matches, matching.size());
+      EXPECT_EQ(result.docs, expected_docs);
+      for (const std::string& path : query.facet_paths) {
+        std::vector<std::pair<size_t, std::string>> expected;
+        for (const auto& [value, n] : value_counts[path]) {
+          expected.emplace_back(n, value);
+        }
+        std::sort(expected.begin(), expected.end(),
+                  [](const auto& a, const auto& b) {
+                    if (a.first != b.first) return a.first > b.first;
+                    return a.second < b.second;
+                  });
+        const auto& counts = result.facets.at(path);
+        ASSERT_EQ(counts.size(), expected.size()) << path;
+        for (size_t i = 0; i < counts.size(); ++i) {
+          EXPECT_EQ(counts[i].count, expected[i].first) << path;
+          EXPECT_EQ(counts[i].value.string_value(), expected[i].second);
+        }
+      }
+      const auto& buckets = result.range_facet_buckets.at("/doc/total");
+      ASSERT_EQ(buckets.size(), bucket_counts.size());
+      for (size_t b = 0; b < buckets.size(); ++b) {
+        EXPECT_EQ(buckets[b].count, bucket_counts[b]) << "bucket " << b;
+      }
+      for (const auto& [name, value] : expected_aggregates) {
+        EXPECT_DOUBLE_EQ(result.aggregate_values.at(name), value) << name;
+      }
+    }
+  }
+  EXPECT_GE(nonempty, 30u);  // the queries are not vacuous
 }
 
 // ------------------------------------------------------------------- Graph

@@ -294,6 +294,31 @@ TEST_F(ServerTest, FacetRoundTrip) {
   EXPECT_NE(response->body.find("Berlin"), std::string::npos);
 }
 
+TEST_F(ServerTest, FacetWithZeroOrOneLimit) {
+  StartServer();
+  auto client = Client();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client
+                  ->Ingest("order",
+                           "id,city,text\n1,Berlin,refund late\n"
+                           "2,Berlin,refund due\n3,Tokyo,refund\n")
+                  .ok());
+  for (const std::string keywords : {"", "refund"}) {
+    SCOPED_TRACE("keywords: '" + keywords + "'");
+    for (uint64_t limit : {0u, 1u}) {
+      auto response = client->Facet(keywords, "order", {"/doc/city"}, limit);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->doc_ids.size(), limit);
+      uint64_t total = 0;
+      for (const auto& [name, value] : response->counters) {
+        if (name == "total_matches") total = value;
+      }
+      EXPECT_EQ(total, 3u);
+      EXPECT_NE(response->body.find("Berlin"), std::string::npos);
+    }
+  }
+}
+
 TEST_F(ServerTest, ConcurrentClients) {
   StartServer();
   constexpr int kClients = 4;
