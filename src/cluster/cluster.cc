@@ -131,20 +131,28 @@ uint64_t SimulatedCluster::RouteKey(model::DocId id) const {
   return options_.key_range_partitioning ? id : Mix64(id);
 }
 
+SimulatedCluster::PartitionState& SimulatedCluster::RoutedPartitionLocked(
+    model::DocId id) const {
+  auto it = ptable_.upper_bound(RouteKey(id));
+  --it;  // the table always has an entry at key 0
+  return it->second;
+}
+
 std::vector<NodeId> SimulatedCluster::PlaceReplicas(model::DocId id,
                                                     size_t copies) const {
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  return PlaceReplicasLocked(id, copies);
+}
+
+std::vector<NodeId> SimulatedCluster::PlaceReplicasLocked(model::DocId id,
+                                                          size_t copies) const {
   const size_t n = data_nodes_.size();
   copies = std::min(copies, n);
   std::vector<NodeId> nodes;
-  {
-    std::lock_guard<std::mutex> lock(ptable_mutex_);
-    auto it = ptable_.upper_bound(RouteKey(id));
-    --it;  // the table always has an entry at key 0
-    for (NodeId node : it->second.replicas) {
-      if (nodes.size() >= copies) break;
-      if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
-        nodes.push_back(node);
-      }
+  for (NodeId node : RoutedPartitionLocked(id).replicas) {
+    if (nodes.size() >= copies) break;
+    if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
+      nodes.push_back(node);
     }
   }
   // A caller wanting more copies than the tablet is configured with
@@ -162,41 +170,37 @@ std::vector<NodeId> SimulatedCluster::PlaceReplicas(model::DocId id,
 
 void SimulatedCluster::BumpPartitionTraffic(model::DocId id) const {
   std::lock_guard<std::mutex> lock(ptable_mutex_);
-  auto it = ptable_.upper_bound(RouteKey(id));
-  --it;
-  ++it->second.traffic;
+  ++RoutedPartitionLocked(id).traffic;
 }
 
-void SimulatedCluster::AdjustPartitionDocCount(model::DocId id, int64_t delta) {
-  std::lock_guard<std::mutex> lock(ptable_mutex_);
-  auto it = ptable_.upper_bound(RouteKey(id));
-  --it;
-  if (delta < 0 && it->second.doc_count < static_cast<uint64_t>(-delta)) {
-    it->second.doc_count = 0;
-  } else {
-    it->second.doc_count += delta;
-  }
-}
-
-TaskOutcome SimulatedCluster::StoreOnNode(NodeId node_id,
-                                          const model::Document& doc,
-                                          uint64_t* epoch_at_store) {
+uint64_t SimulatedCluster::SubmitStore(NodeId node_id, std::vector<DocPtr> docs,
+                                       std::future<TaskOutcome>* outcome) {
   std::shared_ptr<Partition> partition = PartitionFor(node_id);
-  Node* node = data_nodes_[node_id].get();
-  return node->Run([this, partition, node, doc, epoch_at_store] {
-    // Upsert: drop stale index postings first so re-ingest (new versions,
-    // re-replication retries) stays idempotent.
-    if (partition->docs.count(doc.id)) {
-      partition->inverted.RemoveDocument(doc.id);
-    }
-    partition->docs[doc.id] = doc;
-    partition->placed[doc.id] = placement_clock_.fetch_add(1);
-    partition->inverted.AddDocument(doc.id, doc.Text());
-    // Read the incarnation AFTER the store: if the node dies between here
-    // and the caller recording it as a holder, the epoch mismatch tells
-    // the caller the stored bytes did not survive.
-    if (epoch_at_store != nullptr) *epoch_at_store = node->epoch();
-  });
+  const uint64_t incarnation = partition->incarnation;
+  data_nodes_[node_id]->Submit(
+      [this, partition, docs = std::move(docs)] {
+        uint64_t stamp = placement_clock_.fetch_add(docs.size());
+        for (const DocPtr& doc : docs) {
+          // Upsert: drop stale index postings first so re-ingest (new
+          // versions, re-replication retries) stays idempotent.
+          auto [it, inserted] = partition->docs.try_emplace(doc->id, doc);
+          if (!inserted) {
+            partition->inverted.RemoveDocument(doc->id);
+            it->second = doc;
+          }
+          partition->placed[doc->id] = stamp++;
+          partition->inverted.AddDocument(doc->id, doc->Text());
+        }
+      },
+      outcome);
+  return incarnation;
+}
+
+TaskOutcome SimulatedCluster::StoreOnNode(NodeId node, DocPtr doc,
+                                          uint64_t* incarnation) {
+  std::future<TaskOutcome> outcome;
+  *incarnation = SubmitStore(node, {std::move(doc)}, &outcome);
+  return outcome.get();
 }
 
 bool SimulatedCluster::HolderStillValid(NodeId node,
@@ -211,72 +215,145 @@ std::shared_ptr<SimulatedCluster::Partition> SimulatedCluster::PartitionFor(
   return partitions_[node];
 }
 
-bool SimulatedCluster::StoreReplicated(const model::Document& doc,
-                                       size_t copies, ShipStats* stats) {
-  std::vector<NodeId> replicas = PlaceReplicas(doc.id, copies);
-  const uint64_t bytes = DocBytes(doc);
+std::vector<model::DocId> SimulatedCluster::StoreBatch(std::vector<DocPtr> docs,
+                                                       size_t copies,
+                                                       ShipStats* stats) {
+  obs::ScopedSpan span("cluster.ingest");
+  const size_t n = data_nodes_.size();
+  // Place the whole batch under one partition-table hold; every store
+  // heats its tablet like any other point op.
+  std::vector<std::vector<NodeId>> replicas(docs.size());
+  {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (size_t i = 0; i < docs.size(); ++i) {
+      ++RoutedPartitionLocked(docs[i]->id).traffic;
+      replicas[i] = PlaceReplicasLocked(docs[i]->id, copies);
+    }
+  }
+  std::vector<std::vector<size_t>> placed_on(n);  // node -> batch positions
+  for (size_t i = 0; i < docs.size(); ++i) {
+    for (NodeId node : replicas[i]) placed_on[node].push_back(i);
+  }
+
+  // One store task per owning node, all in flight before any is awaited,
+  // so the blades store in parallel.
+  struct Store {
+    NodeId node;
+    uint64_t incarnation;
+    std::future<TaskOutcome> outcome;
+  };
+  std::vector<Store> stores;
+  for (NodeId node = 0; node < n; ++node) {
+    if (placed_on[node].empty() || !data_nodes_[node]->alive()) continue;
+    std::vector<DocPtr> batch;
+    batch.reserve(placed_on[node].size());
+    for (size_t i : placed_on[node]) batch.push_back(docs[i]);
+    Store store{node, 0, {}};
+    store.incarnation = SubmitStore(node, std::move(batch), &store.outcome);
+    stores.push_back(std::move(store));
+    ++stats->tasks;
+  }
+  // Encode for the traffic account while the blades work.
+  std::vector<uint64_t> bytes(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) bytes[i] = DocBytes(*docs[i]);
+
   // Only nodes that positively acknowledged the store become holders.
   // Trusting the submit-time ack recorded phantom replicas whenever a node
   // died (or dropped the task) between accept and apply.
-  std::vector<std::pair<NodeId, uint64_t>> acked;  // node, epoch at store
-  for (NodeId node : replicas) {
-    if (!data_nodes_[node]->alive()) continue;
-    ++stats->tasks;
-    uint64_t epoch = 0;
-    if (StoreOnNode(node, doc, &epoch) != TaskOutcome::kExecuted) continue;
-    stats->bytes_shipped += bytes;
-    stats->rows_shipped += 1;
-    acked.emplace_back(node, epoch);
+  constexpr uint64_t kNotAcked = UINT64_MAX;
+  std::vector<uint64_t> acked(n, kNotAcked);  // node -> incarnation
+  for (Store& store : stores) {
+    if (store.outcome.get() != TaskOutcome::kExecuted) continue;
+    acked[store.node] = store.incarnation;
+    for (size_t i : placed_on[store.node]) {
+      stats->bytes_shipped += bytes[i];
+      stats->rows_shipped += 1;
+    }
   }
-  bool was_new = false;
-  bool recorded = false;
+
+  std::vector<model::DocId> unplaced;
+  std::vector<model::DocId> fresh;
   {
     std::lock_guard<std::mutex> lock(directory_mutex_);
     // Re-check each ack under the directory lock: a node that failed (and
     // possibly rejoined empty) since the store executed no longer has the
     // bytes, and recording it would plant a silent miss in the directory.
-    std::vector<Holder> holders;
-    for (const auto& [node, epoch] : acked) {
-      if (HolderStillValid(node, epoch)) holders.push_back(Holder{node, epoch});
+    for (NodeId node = 0; node < n; ++node) {
+      if (acked[node] != kNotAcked && !HolderStillValid(node, acked[node])) {
+        acked[node] = kNotAcked;
+      }
     }
-    if (!holders.empty()) {
-      was_new = directory_.find(doc.id) == directory_.end();
-      DirEntry& entry = directory_[doc.id];
-      entry.desired = static_cast<uint8_t>(copies);
-      entry.holders = std::move(holders);
-      InvalidateOwnershipLocked();
-      recorded = true;
+    for (size_t i = 0; i < docs.size(); ++i) {
+      std::vector<Holder> holders;
+      for (NodeId node : replicas[i]) {
+        if (acked[node] != kNotAcked) {
+          holders.push_back(Holder{node, acked[node]});
+        }
+      }
+      if (holders.empty()) {
+        unplaced.push_back(docs[i]->id);
+        continue;
+      }
+      auto [it, inserted] = directory_.try_emplace(docs[i]->id);
+      if (inserted) fresh.push_back(docs[i]->id);
+      it->second.desired = static_cast<uint8_t>(copies);
+      it->second.holders = std::move(holders);
     }
+    if (unplaced.size() < docs.size()) InvalidateOwnershipLocked();
   }
-  if (recorded && was_new) AdjustPartitionDocCount(doc.id, 1);
-  return recorded;
+  if (!fresh.empty()) {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (model::DocId id : fresh) ++RoutedPartitionLocked(id).doc_count;
+  }
+  return unplaced;
+}
+
+SimulatedCluster::BatchIngest SimulatedCluster::IngestBatch(
+    std::vector<model::Document> docs, size_t copies) {
+  if (copies == 0) copies = options_.replication;
+  BatchIngest result;
+  result.ids.reserve(docs.size());
+  std::vector<DocPtr> shared;
+  shared.reserve(docs.size());
+  for (model::Document& doc : docs) {
+    if (doc.id == model::kInvalidDocId) {
+      doc.id = next_id_.fetch_add(1);
+    } else {
+      // Mirrored ingest under a caller-assigned id: keep our own id space
+      // strictly ahead so annotation documents never collide with it.
+      model::DocId expected = next_id_.load();
+      while (expected <= doc.id &&
+             !next_id_.compare_exchange_weak(expected, doc.id + 1)) {
+      }
+    }
+    if (doc.version == 0) doc.version = 1;
+    result.ids.push_back(doc.id);
+    shared.push_back(std::make_shared<const model::Document>(std::move(doc)));
+  }
+  ShipStats stats;
+  result.unplaced = StoreBatch(std::move(shared), copies, &stats);
+  AccountTraffic(stats);
+  return result;
 }
 
 Result<model::DocId> SimulatedCluster::Ingest(model::Document doc,
                                               size_t copies) {
-  if (copies == 0) copies = options_.replication;
-  if (doc.id == model::kInvalidDocId) {
-    doc.id = next_id_.fetch_add(1);
-  } else {
-    // Mirrored ingest under a caller-assigned id: keep our own id space
-    // strictly ahead so annotation documents never collide with it.
-    model::DocId expected = next_id_.load();
-    while (expected <= doc.id &&
-           !next_id_.compare_exchange_weak(expected, doc.id + 1)) {
-    }
-  }
-  if (doc.version == 0) doc.version = 1;
-  BumpPartitionTraffic(doc.id);
-  ShipStats stats;
-  const bool recorded = StoreReplicated(doc, copies, &stats);
-  AccountTraffic(stats);
-  if (!recorded) {
+  std::vector<model::Document> batch;
+  batch.push_back(std::move(doc));
+  BatchIngest result = IngestBatch(std::move(batch), copies);
+  if (!result.unplaced.empty()) {
     return Status::IOError("no replica target acknowledged document");
   }
-  return doc.id;
+  return result.ids.front();
 }
 
 Result<model::Document> SimulatedCluster::Get(model::DocId id) const {
+  IMPLIANCE_ASSIGN_OR_RETURN(DocPtr doc, GetShared(id));
+  return *doc;
+}
+
+Result<SimulatedCluster::DocPtr> SimulatedCluster::GetShared(
+    model::DocId id) const {
   BumpPartitionTraffic(id);  // point reads heat the partition like ingests
   std::vector<Holder> holders;
   {
@@ -290,17 +367,13 @@ Result<model::Document> SimulatedCluster::Get(model::DocId id) const {
   for (const Holder& holder : holders) {
     if (!HolderStillValid(holder.node, holder.epoch)) continue;
     std::shared_ptr<Partition> partition = PartitionFor(holder.node);
-    model::Document doc;
-    bool found = false;
+    DocPtr doc;
     const TaskOutcome outcome =
-        data_nodes_[holder.node]->Run([partition, id, &doc, &found] {
+        data_nodes_[holder.node]->Run([partition, id, &doc] {
           auto it = partition->docs.find(id);
-          if (it != partition->docs.end()) {
-            doc = it->second;
-            found = true;
-          }
+          if (it != partition->docs.end()) doc = it->second;
         });
-    if (outcome == TaskOutcome::kExecuted && found) return doc;
+    if (outcome == TaskOutcome::kExecuted && doc != nullptr) return doc;
   }
   return Status::NotFound("all replicas unavailable: " + std::to_string(id));
 }
@@ -622,7 +695,7 @@ SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
   struct Partial {
     // group -> (sum, count)
     std::map<std::string, std::pair<double, uint64_t>> groups;
-    std::vector<model::Document> raw_docs;  // no-pushdown mode
+    std::vector<DocPtr> raw_docs;  // no-pushdown mode
     uint64_t raw_bytes = 0;
   };
 
@@ -676,13 +749,13 @@ SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
             if (!owned->count(id)) continue;
             if (pushdown) {
               // Predicate and partial aggregation at the storage node.
-              if (matches(doc)) accumulate(doc, partial);
+              if (matches(*doc)) accumulate(*doc, partial);
             } else {
               // Ship every document of the kind (the raw scan): the grid
               // node does all filtering and aggregation.
-              if (query.kind.empty() || doc.kind == query.kind) {
+              if (query.kind.empty() || doc->kind == query.kind) {
                 partial->raw_docs.push_back(doc);
-                partial->raw_bytes += DocBytes(doc);
+                partial->raw_bytes += DocBytes(*doc);
               }
             }
           }
@@ -710,10 +783,10 @@ SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
       } else {
         result.stats.bytes_shipped += partial.raw_bytes;
         result.stats.rows_shipped += partial.raw_docs.size();
-        for (const model::Document& doc : partial.raw_docs) {
-          if (matches(doc)) {
+        for (const DocPtr& doc : partial.raw_docs) {
+          if (matches(*doc)) {
             Partial merged;
-            accumulate(doc, &merged);
+            accumulate(*doc, &merged);
             for (const auto& [group, state] : merged.groups) {
               if (query.agg_path.empty()) {
                 result.groups[group] += static_cast<double>(state.second);
@@ -754,20 +827,20 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
             [partition, owned = std::move(owned), out, &annotator, &kind] {
               for (const auto& [id, doc] : partition->docs) {
                 if (!owned->count(id)) continue;
-                if (!kind.empty() && doc.kind != kind) continue;
-                if (doc.doc_class != model::DocClass::kBase) continue;
-                if (!annotator.InterestedIn(doc)) continue;
-                auto spans = annotator.Annotate(doc);
+                if (!kind.empty() && doc->kind != kind) continue;
+                if (doc->doc_class != model::DocClass::kBase) continue;
+                if (!annotator.InterestedIn(*doc)) continue;
+                auto spans = annotator.Annotate(*doc);
                 if (spans.empty()) continue;
                 out->push_back(discovery::MakeAnnotationDocument(
-                    doc, annotator.name(), spans));
+                    *doc, annotator.name(), spans));
               }
             });
       },
       &local_stats);
 
   // Phase 3 (cluster node): assign ids, lock base documents, persist.
-  std::vector<model::Document> to_store;
+  std::vector<DocPtr> to_store;
   ++local_stats.tasks;
   const bool coordinated = RunOnPool(cluster_nodes_, &rr_cluster_, [&] {
     for (std::vector<model::Document>& batch : produced) {
@@ -780,7 +853,8 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
           lock_acquisitions_.fetch_add(1);
         }
         annotation.id = next_id_.fetch_add(1);
-        to_store.push_back(std::move(annotation));
+        to_store.push_back(
+            std::make_shared<const model::Document>(std::move(annotation)));
       }
     }
   });
@@ -790,22 +864,20 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
     ++local_stats.missing_partitions;
   }
 
-  // Route the committed annotation documents onto data nodes through the
-  // same placement path as Ingest — they respect liveness and the dynamic
-  // partition table like any other document, and only holders that
-  // acknowledged the store are recorded.
-  size_t created = 0;
-  for (const model::Document& annotation : to_store) {
-    BumpPartitionTraffic(annotation.id);
-    if (StoreReplicated(annotation, options_.replication, &local_stats)) {
-      ++created;
-    } else {
-      // The annotation was committed by the coordinator but no data node
-      // accepted it: the pass's output is incomplete.
-      local_stats.degraded = true;
-      ++local_stats.missing_partitions;
-    }
+  // Route the committed annotation documents onto data nodes as one batch
+  // through the same placement path as IngestBatch — they respect liveness
+  // and the dynamic partition table like any other document, and only
+  // holders that acknowledged the store are recorded.
+  const size_t committed = to_store.size();
+  const std::vector<model::DocId> unplaced =
+      StoreBatch(std::move(to_store), options_.replication, &local_stats);
+  if (!unplaced.empty()) {
+    // Annotations committed by the coordinator but accepted by no data
+    // node: the pass's output is incomplete.
+    local_stats.degraded = true;
+    local_stats.missing_partitions += unplaced.size();
   }
+  const size_t created = committed - unplaced.size();
   AccountTraffic(local_stats);
   if (stats != nullptr) *stats = local_stats;
   return created;
@@ -864,7 +936,7 @@ SimulatedCluster::PipelineResult SimulatedCluster::SearchJoinUpdate(
                 auto doc_it = partition->docs.find(hit.doc);
                 if (doc_it == partition->docs.end()) continue;
                 const model::Value* ref = model::ResolvePath(
-                    doc_it->second.root, query.left_ref_path);
+                    doc_it->second->root, query.left_ref_path);
                 if (ref == nullptr || ref->is_null()) continue;
                 out->push_back(Hit{hit.doc, hit.score, ref->AsString()});
                 if (out->size() >= query.k) break;
@@ -884,11 +956,11 @@ SimulatedCluster::PipelineResult SimulatedCluster::SearchJoinUpdate(
         return std::function<void()>(
             [partition, owned = std::move(owned), out, &query] {
               for (const auto& [id, doc] : partition->docs) {
-                if (!owned->count(id) || doc.kind != query.dim_kind) {
+                if (!owned->count(id) || doc->kind != query.dim_kind) {
                   continue;
                 }
                 const model::Value* key =
-                    model::ResolvePath(doc.root, query.dim_key_path);
+                    model::ResolvePath(doc->root, query.dim_key_path);
                 if (key == nullptr || key->is_null()) continue;
                 out->emplace_back(key->AsString(), id);
               }
@@ -968,12 +1040,15 @@ SimulatedCluster::PipelineResult SimulatedCluster::SearchJoinUpdate(
           data_nodes_[node_id]->Run([partition, id, &tag, &applied] {
             auto it = partition->docs.find(id);
             if (it == partition->docs.end()) return;
-            model::Document updated_doc = it->second;
+            // Copy-on-write: other replicas share the old document, so
+            // this node re-points its own copy at the tagged version.
+            model::Document updated_doc = *it->second;
             updated_doc.version += 1;
             updated_doc.root.AddChild(tag, model::Value::Bool(true));
             partition->inverted.RemoveDocument(id);
             partition->inverted.AddDocument(id, updated_doc.Text());
-            it->second = std::move(updated_doc);
+            it->second =
+                std::make_shared<const model::Document>(std::move(updated_doc));
             applied = true;
           });
       if (outcome == TaskOutcome::kExecuted && applied) updated = true;
@@ -996,8 +1071,12 @@ void SimulatedCluster::RecoverNode(NodeId id) {
     // Rejoins empty: its previous contents were lost with the failure.
     // Swap under the slot mutex — readers copy this shared_ptr
     // concurrently, and an unsynchronized swap races with them.
+    // The fresh partition belongs to the incarnation Fail advanced to, so
+    // a store still holding the old one cannot pass for a valid holder.
+    auto fresh = std::make_shared<Partition>();
+    fresh->incarnation = data_nodes_[id]->epoch();
     std::lock_guard<std::mutex> lock(partitions_mutex_);
-    partitions_[id] = std::make_shared<Partition>();
+    partitions_[id] = std::move(fresh);
   }
   data_nodes_[id]->Recover();
   {
@@ -1055,7 +1134,7 @@ SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
     }
   }
   for (model::DocId id : todo) {
-    Result<model::Document> doc = Get(id);
+    Result<DocPtr> doc = GetShared(id);
     if (!doc.ok()) {
       ++report.docs_unrestored;
       continue;
@@ -1088,7 +1167,7 @@ SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
       if (StoreOnNode(candidate, *doc, &epoch) != TaskOutcome::kExecuted) {
         continue;
       }
-      report.bytes_copied += DocBytes(*doc);
+      report.bytes_copied += DocBytes(**doc);
       {
         std::lock_guard<std::mutex> lock(directory_mutex_);
         if (!HolderStillValid(candidate, epoch)) continue;
@@ -1342,7 +1421,7 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
   std::vector<Moved> moved;
   uint64_t bytes = 0;
   for (model::DocId id : ids) {
-    Result<model::Document> doc = Get(id);
+    Result<DocPtr> doc = GetShared(id);
     if (!doc.ok()) continue;
     uint64_t epoch_to = 0;
     if (StoreOnNode(to, *doc, &epoch_to) != TaskOutcome::kExecuted) continue;
@@ -1387,8 +1466,8 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     // Uncommitted copies are harmless: the directory never references
     // them, so no query routes there, and the source keeps serving.
     if (!committed) continue;
-    moved.push_back(Moved{id, doc->version, swapped_at});
-    bytes += DocBytes(*doc);
+    moved.push_back(Moved{id, (*doc)->version, swapped_at});
+    bytes += DocBytes(**doc);
   }
   if (!moved.empty()) {
     // Delete the source bytes on the source node's own mailbox thread —
@@ -1401,13 +1480,13 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     // the swap (a re-replication pass or an ingest that picked `from`
     // again, and may already list it as a holder) is left in place.
     std::shared_ptr<Partition> partition = PartitionFor(from);
-    auto dirty = std::make_shared<std::vector<model::Document>>();
+    auto dirty = std::make_shared<std::vector<DocPtr>>();
     const std::vector<Moved> batch = moved;
     data_nodes_[from]->Run([partition, batch, dirty] {
       for (const Moved& m : batch) {
         auto it = partition->docs.find(m.id);
         if (it == partition->docs.end()) continue;
-        if (it->second.version != m.version) dirty->push_back(it->second);
+        if (it->second->version != m.version) dirty->push_back(it->second);
         auto placed = partition->placed.find(m.id);
         if (placed != partition->placed.end() &&
             placed->second >= m.swapped_at) {
@@ -1418,14 +1497,14 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
         if (placed != partition->placed.end()) partition->placed.erase(placed);
       }
     });
-    for (const model::Document& newer : *dirty) {
+    for (const DocPtr& newer : *dirty) {
       uint64_t epoch_to = 0;
       if (StoreOnNode(to, newer, &epoch_to) != TaskOutcome::kExecuted) {
         continue;
       }
-      bytes += DocBytes(newer);
+      bytes += DocBytes(*newer);
       std::lock_guard<std::mutex> lock(directory_mutex_);
-      auto it = directory_.find(newer.id);
+      auto it = directory_.find(newer->id);
       if (it == directory_.end()) continue;
       for (Holder& holder : it->second.holders) {
         if (holder.node == to) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -109,11 +110,25 @@ class SimulatedCluster {
 
   // ------------------------------------------------------------- Ingest
 
-  // Stores `doc` on `copies` data nodes (0 = the cluster default); assigns
-  // and returns its id (a pre-set nonzero doc.id is honored, so a fronting
-  // store can mirror documents under its own ids). Only nodes that
-  // positively acknowledged the store are recorded as holders. Per-class
-  // copy counts are the storage manager's policy lever (Section 3.4).
+  // Outcome of one ingested batch.
+  struct BatchIngest {
+    std::vector<model::DocId> ids;       // assigned ids, in input order
+    // Documents no replica target acknowledged: they have no directory
+    // entry, so no distributed query serves them.
+    std::vector<model::DocId> unplaced;
+  };
+  // Stores every document of `docs` on `copies` data nodes (0 = the
+  // cluster default) and assigns ids (a pre-set nonzero doc.id is honored,
+  // so a fronting store can mirror documents under its own ids). The batch
+  // costs one mailbox task per owning data node, all submitted before any
+  // is awaited, and one directory commit. The replicas of a document share
+  // one immutable copy. Only nodes that positively acknowledged the store,
+  // and are still in the incarnation they stored it in, are recorded as
+  // holders. Per-class copy counts are the storage manager's policy lever
+  // (Section 3.4).
+  BatchIngest IngestBatch(std::vector<model::Document> docs, size_t copies = 0);
+  // A batch of one: the document's id, or IOError when no replica target
+  // acknowledged it.
   Result<model::DocId> Ingest(model::Document doc, size_t copies = 0);
 
   Result<model::Document> Get(model::DocId id) const;
@@ -338,13 +353,17 @@ class SimulatedCluster {
   ShipStats lifetime_traffic() const;
 
  private:
+  using DocPtr = std::shared_ptr<const model::Document>;
+
   struct Partition {
     // Only the owning node's thread touches this (all access is routed
     // through Node::Run), except bulk copies during re-replication which
     // take the directory mutex first. Held by shared_ptr: node recovery
     // swaps in a fresh partition, and a task still running against the old
     // incarnation must keep its (doomed, epoch-checked) object alive.
-    std::map<model::DocId, model::Document> docs;
+    // Documents are immutable and shared by every replica (and by the
+    // batch that stored them); an update replaces this node's pointer.
+    std::map<model::DocId, DocPtr> docs;
     // Placement stamp (placement_clock_ at store time) of each doc's copy,
     // so a migration deletes only the copy it moved, never one a later
     // re-replication or ingest placed here. Has exactly the keys of `docs`
@@ -352,6 +371,9 @@ class SimulatedCluster {
     // every scatter task.
     std::unordered_map<model::DocId, uint64_t> placed;
     index::InvertedIndex inverted;
+    // The node's incarnation (Node::epoch) this partition was created in:
+    // bytes stored here survive only while the node stays in it.
+    uint64_t incarnation = 0;
   };
 
   // A replica location is a (node, incarnation) pair: bytes stored on a
@@ -435,28 +457,36 @@ class SimulatedCluster {
   // The key a document routes by: its Mix64 hash (uniform) or its raw id
   // (key-range mode). The partition table partitions this key space.
   uint64_t RouteKey(model::DocId id) const;
+  // The tablet `id` routes to. Caller holds ptable_mutex_.
+  PartitionState& RoutedPartitionLocked(model::DocId id) const;
   // Placement policy: the routing partition's replica targets (primary
   // first), extended ring-wise past the table's targets when a caller
-  // wants more copies than the tablet is configured with.
+  // wants more copies than the tablet is configured with. The Locked
+  // variant expects ptable_mutex_ held.
   std::vector<NodeId> PlaceReplicas(model::DocId id, size_t copies) const;
-  // Stores `doc` (id already assigned) on its placed replicas and records
-  // acked, still-epoch-valid holders in the directory — the single
-  // placement path shared by Ingest, RunAnnotationPass, and recovery
+  std::vector<NodeId> PlaceReplicasLocked(model::DocId id, size_t copies) const;
+  // Stores `docs` (ids already assigned) on their placed replicas and
+  // records acked, still-epoch-valid holders in the directory — the single
+  // placement path shared by IngestBatch, RunAnnotationPass, and recovery
   // mirrors, so every write respects liveness and the partition table.
-  // Returns false when no replica target acknowledged the store.
-  bool StoreReplicated(const model::Document& doc, size_t copies,
-                       ShipStats* stats);
-  // Policy-counter maintenance (both take ptable_mutex_ internally).
+  // One task per owning node, all in flight at once; one directory commit.
+  // Returns the ids of the documents no replica target acknowledged.
+  std::vector<model::DocId> StoreBatch(std::vector<DocPtr> docs, size_t copies,
+                                       ShipStats* stats);
+  // Point-op traffic counter of the routing tablet (takes ptable_mutex_).
   void BumpPartitionTraffic(model::DocId id) const;
-  void AdjustPartitionDocCount(model::DocId id, int64_t delta);
-  // Stores `doc` on the node's partition and reports the definitive
-  // outcome; only kExecuted means the node actually held the document when
-  // the store ran. `epoch_at_store` (optional) receives the node's
-  // incarnation observed right after the store — callers recording the
-  // node as a holder must re-check it with HolderStillValid, because a
-  // fail/recover cycle in between wipes the partition.
-  TaskOutcome StoreOnNode(NodeId node, const model::Document& doc,
-                          uint64_t* epoch_at_store = nullptr);
+  // Submits one task that upserts `docs` into the node's partition;
+  // `*outcome` resolves to its definitive fate, and only kExecuted means
+  // the node held the documents when the task ran. Returns the
+  // partition's incarnation — callers recording the node as a holder must
+  // re-check it with HolderStillValid, because a fail/recover cycle wipes
+  // the partition.
+  uint64_t SubmitStore(NodeId node, std::vector<DocPtr> docs,
+                       std::future<TaskOutcome>* outcome);
+  // SubmitStore of one document, awaited.
+  TaskOutcome StoreOnNode(NodeId node, DocPtr doc, uint64_t* incarnation);
+  // Get without the copy: the holder's shared immutable document.
+  Result<DocPtr> GetShared(model::DocId id) const;
   // True while `node` is alive in the same incarnation: bytes stored at
   // `epoch_at_store` are still there.
   bool HolderStillValid(NodeId node, uint64_t epoch_at_store) const;

@@ -379,24 +379,34 @@ Result<std::unique_ptr<Impliance>> Impliance::Open(ImplianceOptions options) {
   // rebuild them from the latest versions.
   std::unique_lock<std::shared_mutex> lock(impliance->mutex_);
   Impliance* raw = impliance.get();
+  // Rebuild the mirror from the durable store (blade contents are
+  // memory-resident and were lost with the process), one batch per chunk
+  // of the scan. A failed mirror here would leave documents with no
+  // directory entry, so every distributed query would silently omit them
+  // while reporting degraded=false — fail Open instead, like InfuseLocked
+  // and Update fail the write.
+  constexpr size_t kRecoveryMirrorBatch = 256;
+  std::vector<model::Document> chunk;
   Status mirror_status = Status::OK();
-  IMPLIANCE_RETURN_IF_ERROR(
-      raw->store_->Scan([raw, &mirror_status](const model::Document& doc) {
+  const auto mirror_chunk = [raw, &chunk, &mirror_status] {
+    if (chunk.empty()) return;
+    const cluster::SimulatedCluster::BatchIngest mirrored =
+        raw->scale_out_->IngestBatch(std::move(chunk));
+    chunk.clear();
+    if (!mirrored.unplaced.empty()) {
+      mirror_status = Status::IOError(
+          "recovery mirror failed for " +
+          std::to_string(mirrored.unplaced.size()) + " documents, first " +
+          std::to_string(mirrored.unplaced.front()));
+    }
+  };
+  IMPLIANCE_RETURN_IF_ERROR(raw->store_->Scan(
+      [raw, &chunk, &mirror_status, &mirror_chunk](const model::Document& doc) {
         IMPLIANCE_CHECK_OK(raw->IndexDocumentLocked(doc));
         if (raw->scale_out_ != nullptr) {
-          // Rebuild the mirror from the durable store (blade contents are
-          // memory-resident and were lost with the process). A failed
-          // mirror here would leave the document with no directory entry,
-          // so every distributed query would silently omit it while
-          // reporting degraded=false — fail Open instead, like
-          // InfuseLocked/Update fail the write.
-          Result<model::DocId> mirrored = raw->scale_out_->Ingest(doc);
-          if (!mirrored.ok()) {
-            mirror_status = Status::IOError(
-                "recovery mirror failed for doc " + std::to_string(doc.id) +
-                ": " + mirrored.status().ToString());
-            return false;
-          }
+          chunk.push_back(doc);
+          if (chunk.size() == kRecoveryMirrorBatch) mirror_chunk();
+          if (!mirror_status.ok()) return false;
         }
         if (doc.kind == "annotation") {
           const model::Value* annotator =
@@ -411,6 +421,7 @@ Result<std::unique_ptr<Impliance>> Impliance::Open(ImplianceOptions options) {
         }
         return true;
       }));
+  if (raw->scale_out_ != nullptr) mirror_chunk();
   // Scan stops early (returning OK) on a mirror failure; surface it.
   IMPLIANCE_RETURN_IF_ERROR(mirror_status);
   lock.unlock();
@@ -458,23 +469,41 @@ Status Impliance::DeindexDocumentLocked(const model::Document& doc) {
   return Status::OK();
 }
 
-Result<model::DocId> Impliance::InfuseLocked(model::Document doc) {
-  IMPLIANCE_ASSIGN_OR_RETURN(model::DocId id, store_->Insert(doc));
-  doc.id = id;
-  doc.version = 1;
-  IMPLIANCE_RETURN_IF_ERROR(IndexDocumentLocked(doc));
-  if (scale_out_ != nullptr) {
-    // Mirror under the store-assigned id. A failed mirror (no replica
-    // acked) is surfaced: the cluster would otherwise silently omit this
-    // document from every scatter-gather answer. The document stays in
-    // the store and indexes, so queries exclude it by id.
-    Result<model::DocId> mirrored = scale_out_->Ingest(doc);
-    if (!mirrored.ok()) {
-      unmirrored_.insert(id);
-      return mirrored.status();
+Result<std::vector<model::DocId>> Impliance::InfuseLocked(
+    std::vector<model::Document> docs) {
+  std::vector<model::DocId> ids;
+  ids.reserve(docs.size());
+  Status status = Status::OK();
+  for (model::Document& doc : docs) {
+    Result<model::DocId> id = store_->Insert(doc);
+    if (!id.ok()) {
+      status = id.status();
+      break;
+    }
+    doc.id = *id;
+    doc.version = 1;
+    IMPLIANCE_CHECK_OK(IndexDocumentLocked(doc));
+    ids.push_back(*id);
+  }
+  if (scale_out_ != nullptr && !ids.empty()) {
+    // Mirror what was stored, under the store-assigned ids, even when a
+    // later store failed. A failed mirror (no replica acked) is surfaced:
+    // the cluster would otherwise silently omit the document from every
+    // scatter-gather answer. The document stays in the store and indexes,
+    // so queries exclude it by id.
+    docs.resize(ids.size());
+    const cluster::SimulatedCluster::BatchIngest mirrored =
+        scale_out_->IngestBatch(std::move(docs));
+    unmirrored_.insert(mirrored.unplaced.begin(), mirrored.unplaced.end());
+    if (!mirrored.unplaced.empty() && status.ok()) {
+      status = Status::IOError(
+          "no replica target acknowledged " +
+          std::to_string(mirrored.unplaced.size()) + " of " +
+          std::to_string(ids.size()) + " documents");
     }
   }
-  return id;
+  IMPLIANCE_RETURN_IF_ERROR(status);
+  return ids;
 }
 
 // ------------------------------------------------------------------ Infuse
@@ -483,18 +512,17 @@ Result<std::vector<model::DocId>> Impliance::InfuseContent(
     std::string_view kind, std::string_view raw) {
   IMPLIANCE_ASSIGN_OR_RETURN(std::vector<model::Document> docs,
                              ingest::IngestAny(kind, raw));
-  std::vector<model::DocId> ids;
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  for (model::Document& doc : docs) {
-    IMPLIANCE_ASSIGN_OR_RETURN(model::DocId id, InfuseLocked(std::move(doc)));
-    ids.push_back(id);
-  }
-  return ids;
+  return InfuseLocked(std::move(docs));
 }
 
 Result<model::DocId> Impliance::Infuse(model::Document doc) {
+  std::vector<model::Document> batch;
+  batch.push_back(std::move(doc));
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  return InfuseLocked(std::move(doc));
+  IMPLIANCE_ASSIGN_OR_RETURN(std::vector<model::DocId> ids,
+                             InfuseLocked(std::move(batch)));
+  return ids.front();
 }
 
 Result<uint32_t> Impliance::Update(model::DocId id, model::Document doc) {
@@ -870,15 +898,17 @@ Result<DiscoveryReport> Impliance::RunDiscovery() {
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
     std::set<model::DocId> touched;
+    std::vector<model::Document> annotations;
     for (PendingAnnotation& item : pending) {
       annotated_.insert({item.annotator, item.base});
       touched.insert(item.base);
-      if (!item.has_annotation) continue;
-      IMPLIANCE_ASSIGN_OR_RETURN(model::DocId id,
-                                 InfuseLocked(std::move(item.annotation)));
-      (void)id;
-      ++report.annotations_created;
+      if (item.has_annotation) {
+        annotations.push_back(std::move(item.annotation));
+      }
     }
+    IMPLIANCE_ASSIGN_OR_RETURN(std::vector<model::DocId> ids,
+                               InfuseLocked(std::move(annotations)));
+    report.annotations_created += ids.size();
     report.documents_annotated = touched.size();
   }
 

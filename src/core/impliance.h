@@ -276,7 +276,12 @@ class Impliance {
 
   Status IndexDocumentLocked(const model::Document& doc);
   Status DeindexDocumentLocked(const model::Document& doc);
-  Result<model::DocId> InfuseLocked(model::Document doc);
+  // Stores and indexes `docs` in order, then mirrors the stored ones to the
+  // scale-out tier as one batch. Returns their ids, or the first store
+  // error or the mirror's IOError. A document whose mirror no blade
+  // acknowledged stays stored and indexed but joins unmirrored_.
+  Result<std::vector<model::DocId>> InfuseLocked(
+      std::vector<model::Document> docs);
   model::ViewDef ViewForLocked(const std::string& kind) const;
   // The projection of `kind` under `view` (the kind's current view),
   // built on first use. Caller holds mutex_ (shared suffices).

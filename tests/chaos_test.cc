@@ -241,8 +241,10 @@ TEST_P(ChaosTest, ConcurrentIngestAndQueriesSurviveKillRecoverCycles) {
   // must be declared, never papered over.
   cluster.DetectFailures();
   cluster.ReReplicate();
+  // Ask for more hits than documents were ever acknowledged, so the
+  // answer's size is the number of matching documents, not the cutoff.
   ShipStats stats;
-  auto hits = cluster.KeywordSearch("shipment", 10'000, &stats);
+  auto hits = cluster.KeywordSearch("shipment", ingested.load() + 1, &stats);
   ExpectCoherent(stats);
   if (!stats.degraded) {
     EXPECT_EQ(hits.size(), ingested.load());
@@ -452,6 +454,72 @@ TEST_P(ApplianceChaosTest, NodeKilledMidSqlDegradesExplicitly) {
   EXPECT_TRUE(health.degraded);
   EXPECT_GT(health.missing_partitions, 0u);
   EXPECT_LT(rows->size(), 40u);
+}
+
+// A blade dies in the submit window of an InfuseContent batch's mirror
+// (replication=1). The write fails, and every row is then served or
+// explicitly excluded: the earlier batch's rows on the dead blade are
+// declared missing, this batch's rows routed to it are excluded as
+// unmirrored, and the SQL and facet answers hold exactly the rest.
+TEST_P(ApplianceChaosTest, NodeKilledMidBatchIngest) {
+  ApplianceTempDir dir("batch");
+  auto impliance = OpenScaleOut(dir.path());
+  const auto orders = [](int begin, int end) {
+    std::string csv = "order_no,city,total\n";
+    for (int i = begin; i < end; ++i) {
+      csv += std::to_string(i) + (i % 2 == 0 ? ",london," : ",paris,") +
+             std::to_string(i) + "\n";
+    }
+    return csv;
+  };
+  ASSERT_TRUE(impliance->InfuseContent("order", orders(0, 40)).ok());
+
+  ScopedFaultInjection fi(GetParam());
+  fi->ArmAtHit("node.submit.crash", fi->hits("node.submit.crash") + 1);
+  EXPECT_FALSE(impliance->InfuseContent("order", orders(40, 80)).ok());
+  EXPECT_EQ(fi->triggers("node.submit.crash"), 1u);
+  fi->Disarm("node.submit.crash");
+
+  // Oracle from the blade tier: the rows a valid holder can serve, and the
+  // directory's documents with none.
+  SimulatedCluster* cluster = impliance->scale_out();
+  ASSERT_NE(cluster, nullptr);
+  const std::vector<model::DocId> ids = impliance->DocsOfKind("order");
+  ASSERT_EQ(ids.size(), 80u);
+  std::set<int64_t> servable;
+  for (model::DocId id : ids) {
+    if (!cluster->Get(id).ok()) continue;
+    auto doc = impliance->Get(id);
+    ASSERT_TRUE(doc.ok());
+    servable.insert(static_cast<int64_t>(
+        model::ResolvePath(doc->root, "/doc/order_no")->AsDouble()));
+  }
+  const uint64_t missing =
+      cluster->num_documents() - cluster->num_available_documents();
+  EXPECT_GT(missing, 0u);
+  EXPECT_GT(ids.size() - servable.size() - missing, 0u);  // unmirrored rows
+
+  core::QueryHealth health;
+  auto rows = impliance->Sql("SELECT order_no FROM order", &health);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::set<int64_t> served;
+  for (const exec::Row& row : *rows) {
+    served.insert(static_cast<int64_t>(row[0].AsDouble()));
+  }
+  EXPECT_EQ(rows->size(), served.size());
+  EXPECT_EQ(served, servable);
+  EXPECT_TRUE(health.degraded);
+  EXPECT_EQ(health.missing_partitions, missing);
+
+  query::FacetedQuery facet;
+  facet.kind = "order";
+  facet.facet_paths = {"/doc/city"};
+  core::QueryHealth facet_health;
+  const query::FacetedResult faceted = impliance->Faceted(facet, &facet_health);
+  EXPECT_EQ(faceted.total_matches, servable.size());
+  EXPECT_TRUE(facet_health.degraded);
+  EXPECT_EQ(facet_health.missing_partitions, missing);
+  EXPECT_TRUE(cluster->CheckIntegrity().ok());
 }
 
 // SQL through the appliance with the background balancer armed: splits and

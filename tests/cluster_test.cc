@@ -10,6 +10,7 @@
 #include "cluster/cluster.h"
 #include "cluster/node.h"
 #include "cluster/scheduler.h"
+#include "common/fault_injector.h"
 #include "discovery/pattern_annotator.h"
 #include "model/document.h"
 #include "obs/trace.h"
@@ -285,6 +286,25 @@ TEST(ClusterTest, RecoveredNodeRejoinsEmptyAndReceivesNewData) {
   EXPECT_TRUE(cluster.Get(*id).ok());
   // Old doc is still served by node 1.
   EXPECT_EQ(cluster.num_available_documents(), 2u);
+}
+
+// A store task already running when its node fails and rejoins empty
+// writes into the partition recovery just replaced. Its node, alive again,
+// must not be recorded as the holder: that copy is gone.
+TEST(ClusterTest, StoreIntoReplacedPartitionIsNotRecorded) {
+  SimulatedCluster cluster({.num_data_nodes = 1, .replication = 1});
+  ScopedFaultInjection fi(1);
+  fi->Arm("node.task.delay", 1.0, -1, /*delay_micros=*/300'000);
+  std::thread chaos([&cluster] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cluster.FailNode(0);
+    cluster.RecoverNode(0);
+  });
+  auto id = cluster.Ingest(Order("a", 1));
+  chaos.join();
+  fi->Disarm("node.task.delay");
+  EXPECT_FALSE(id.ok());
+  EXPECT_EQ(cluster.num_documents(), 0u);
 }
 
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <functional>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "common/hash.h"
 #include "core/impliance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -566,6 +568,95 @@ TEST(ScaleOutAvailabilityTest, DocumentWhoseMirrorFailedStaysExcluded) {
   ASSERT_FALSE(oracle.servable.contains(unmirrored));
   ASSERT_FALSE(oracle.health.degraded);
   ExpectMatchesDirectory(impliance.get(), oracle, {unmirrored});
+}
+
+// One batch whose rows route to live and dead blades fails as a whole
+// write, yet only the rows routed to the dead blade (replication 1, so
+// their only target) are excluded; every other row of the batch was
+// acknowledged and is servable.
+TEST(ScaleOutAvailabilityTest, PartlyMirroredBatchExcludesOnlyDeadBladeRows) {
+  TempDir dir("avail_batch");
+  auto impliance = OpenBlades(dir, 1);
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  const cluster::NodeId victim = cluster->data_nodes()[1]->id();
+  cluster->FailNode(victim);
+  const std::vector<DocId> before = impliance->DocsOfKind("order");
+  EXPECT_FALSE(impliance->InfuseContent("order", OrdersCsv(5000, 5200)).ok());
+
+  // The batch's rows, and the ones whose routing tablet's only replica is
+  // the dead blade (documents route by Mix64 of their id).
+  const std::vector<DocId> after = impliance->DocsOfKind("order");
+  ASSERT_EQ(after.size(), 5200u);
+  const std::set<DocId> old_ids(before.begin(), before.end());
+  const auto table = cluster->PartitionTable();
+  std::set<DocId> batch;
+  std::set<DocId> routed_to_victim;
+  for (DocId id : after) {
+    if (old_ids.contains(id)) continue;
+    batch.insert(id);
+    const uint64_t key = Mix64(id);
+    auto tablet =
+        std::find_if(table.rbegin(), table.rend(),
+                     [key](const auto& desc) { return desc.lo <= key; });
+    ASSERT_NE(tablet, table.rend());
+    if (tablet->replicas.front() == victim) routed_to_victim.insert(id);
+  }
+  ASSERT_EQ(batch.size(), 200u);
+  ASSERT_GT(routed_to_victim.size(), 0u);
+  ASSERT_LT(routed_to_victim.size(), batch.size());
+
+  const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
+  for (DocId id : batch) {
+    EXPECT_EQ(oracle.servable.contains(id), !routed_to_victim.contains(id))
+        << "doc " << id;
+  }
+  ExpectMatchesDirectory(impliance.get(), oracle, routed_to_victim);
+  EXPECT_TRUE(cluster->CheckIntegrity().ok());
+}
+
+// Mirroring one InfuseContent batch costs one store task per owning blade,
+// not one round trip per document and replica.
+TEST(ScaleOutIngestTest, BatchRunsAtMostOneStoreTaskPerBlade) {
+  TempDir dir("ingest_tasks");
+  auto impliance = Open({.data_dir = dir.path(),
+                         .scale_out_data_nodes = 4,
+                         .scale_out_replication = 2});
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  const auto executed = [cluster] {
+    uint64_t tasks = 0;
+    for (const auto& node : cluster->data_nodes()) {
+      tasks += node->tasks_executed();
+    }
+    return tasks;
+  };
+  const uint64_t before = executed();
+  auto ids = impliance->InfuseContent("order", OrdersCsv(0, 50));
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids->size(), 50u);
+  const uint64_t store_tasks = executed() - before;
+  EXPECT_GE(store_tasks, 1u);
+  EXPECT_LE(store_tasks, 4u);
+  EXPECT_EQ(cluster->num_fully_replicated_documents(), 50u);
+}
+
+// A traced ingest shows its batch's mirror as one cluster.ingest span.
+TEST(ScaleOutIngestTest, TracedBatchShowsOneMirrorSpan) {
+  TempDir dir("ingest_trace");
+  auto impliance = Open({.data_dir = dir.path(), .scale_out_data_nodes = 4});
+  obs::TracePtr trace = obs::StartTrace("ingest");
+  {
+    obs::ScopedTraceAttach attach(trace);
+    ASSERT_TRUE(impliance->InfuseContent("order", OrdersCsv(0, 50)).ok());
+  }
+  obs::FinishTrace(trace);
+  size_t mirror_spans = 0;
+  for (const obs::FinishedTrace& finished : obs::RecentTraces(16)) {
+    if (finished.trace_id != trace->trace_id()) continue;
+    for (const obs::Span& span : finished.spans) {
+      if (span.name == "cluster.ingest") ++mirror_spans;
+    }
+  }
+  EXPECT_EQ(mirror_spans, 1u);
 }
 
 // Writes whose mirror fails race with queries: a query must never serve a
