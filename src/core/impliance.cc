@@ -46,13 +46,6 @@ exec::Row ProjectionRow(const model::ViewDef& view,
   return row;
 }
 
-// Copies a scatter-gather's completeness into the caller's `health`.
-void ReportHealth(const cluster::ShipStats& ship, QueryHealth* health) {
-  if (health == nullptr) return;
-  health->degraded = ship.degraded;
-  health->missing_partitions = ship.missing_partitions;
-}
-
 // Scan of a kind projection; keeps the projection alive while it streams.
 // Under a scale-out exclusion set the inner stream also carries the hidden
 // doc-id column, and rows whose document the blades cannot serve are
@@ -568,20 +561,12 @@ Result<std::vector<SearchHit>> Impliance::SearchAs(
   if (!access_.HasPrincipal(principal)) {
     return Status::InvalidArgument("unknown principal: " + principal);
   }
-  // Over-fetch so the permission filter can still return k results.
-  const size_t fetch = k * 4 + 16;
-  std::vector<index::InvertedIndex::SearchResult> results;
-  cluster::ShipStats ship;  // stays empty, i.e. complete, on a single node
-  if (scale_out_ != nullptr) {
-    // Route through the blade tier's failure-aware scatter-gather; the
-    // local store stays authoritative for bodies and access checks.
-    results = scale_out_->KeywordSearch(keywords, fetch, &ship);
-  } else {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    results = text_index_.Search(keywords, fetch);
-  }
-  ReportHealth(ship, health);
-  return HitsFor(principal, "keyword", keywords, results, k);
+  const AvailableRead read = ReadAvailable(health);
+  // Over-fetch so the permission filter and the exclusion set can still
+  // leave k results.
+  const auto results =
+      text_index_.Search(keywords, k * 4 + 16 + read.excluded_count());
+  return HitsFor(principal, "keyword", keywords, results, read.excluded, k);
 }
 
 Result<model::Document> Impliance::GetAs(const std::string& principal,
@@ -600,15 +585,13 @@ Result<model::Document> Impliance::GetAs(const std::string& principal,
 
 query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query,
                                         QueryHealth* health) const {
-  if (health != nullptr) *health = QueryHealth{};
   // The local indexes cover every document ever mirrored — including
   // documents whose partitions are down right now. Restrict counts and
   // aggregates to what the blades can actually serve and report the
   // unreachable remainder, instead of answering from ghosts.
-  const ExcludedSet missing = MissingDocs(health);
+  const AvailableRead read = ReadAvailable(health);
   query::FacetedQuery restricted = faceted_query;
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  restricted.exclude = ExcludedLocked(missing);
+  restricted.exclude = read.excluded;
   query::FacetedSearch search(&text_index_.global(), &paths_, &facets_,
                               &values_);
   // Facet counts / range buckets / aggregates fan out like a SQL segment.
@@ -618,25 +601,25 @@ query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query
 
 std::vector<SearchHit> Impliance::SearchField(const std::string& path,
                                               const std::string& keywords,
-                                              size_t k) const {
-  std::vector<index::InvertedIndex::SearchResult> results;
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    results = text_index_.SearchField(path, keywords, k);
-  }
+                                              size_t k,
+                                              QueryHealth* health) const {
+  const AvailableRead read = ReadAvailable(health);
+  const auto results =
+      text_index_.SearchField(path, keywords, k + read.excluded_count());
   return HitsFor(AccessController::kAdmin, "keyword-field",
-                 path + " : " + keywords, results, k);
+                 path + " : " + keywords, results, read.excluded, k);
 }
 
 std::vector<SearchHit> Impliance::HitsFor(
     const std::string& principal, const std::string& interface,
     const std::string& query,
     const std::vector<index::InvertedIndex::SearchResult>& results,
-    size_t k) const {
+    const ExcludedSet& excluded, size_t k) const {
   std::vector<SearchHit> hits;
   std::vector<model::DocId> accessed;
   for (const auto& result : results) {
     if (hits.size() >= k) break;
+    if (excluded != nullptr && excluded->contains(result.doc)) continue;
     Result<model::Document> doc = store_->Get(result.doc);
     if (!doc.ok()) continue;
     if (!access_.CanRead(principal, doc->kind)) continue;
@@ -655,21 +638,24 @@ size_t Impliance::ChooseDop() const {
       exec::ParallelExecutor::Shared().num_threads(), load);
 }
 
-ExcludedSet Impliance::MissingDocs(QueryHealth* health) const {
-  if (scale_out_ == nullptr) return nullptr;
-  cluster::ShipStats ship;
-  obs::ScopedSpan availability_span("core.availability");
-  ExcludedSet missing = scale_out_->AvailableDocs(&ship);
-  ReportHealth(ship, health);
-  return missing;
-}
-
-ExcludedSet Impliance::ExcludedLocked(ExcludedSet missing) const {
-  if (unmirrored_.empty()) return missing;
-  auto merged = std::make_shared<std::unordered_set<model::DocId>>(
-      unmirrored_.begin(), unmirrored_.end());
-  if (missing != nullptr) merged->insert(missing->begin(), missing->end());
-  return merged;
+Impliance::AvailableRead Impliance::ReadAvailable(QueryHealth* health) const {
+  cluster::ShipStats ship;  // stays empty, i.e. complete, on a single node
+  ExcludedSet missing;
+  if (scale_out_ != nullptr) {
+    obs::ScopedSpan availability_span("core.availability");
+    missing = scale_out_->AvailableDocs(&ship);
+  }
+  if (health != nullptr) {
+    *health = QueryHealth{ship.degraded, ship.missing_partitions};
+  }
+  AvailableRead read{std::shared_lock<std::shared_mutex>(mutex_), missing};
+  if (!unmirrored_.empty()) {
+    auto merged = std::make_shared<std::unordered_set<model::DocId>>(
+        unmirrored_.begin(), unmirrored_.end());
+    if (missing != nullptr) merged->insert(missing->begin(), missing->end());
+    read.excluded = std::move(merged);
+  }
+  return read;
 }
 
 model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
@@ -792,12 +778,11 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
   }
   // Availability before the scan: with a scale-out tier, table scans may
   // only read documents the blades can serve; the rest is reported through
-  // `health` — the same complete-or-degraded contract keyword search has.
-  const ExcludedSet missing = MissingDocs(health);
+  // `health` — the complete-or-degraded contract of every query interface.
   Result<std::vector<exec::Row>> rows =
       [&]() -> Result<std::vector<exec::Row>> {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    query::Catalog catalog = BuildCatalogLocked(ExcludedLocked(missing));
+    const AvailableRead read = ReadAvailable(health);
+    query::Catalog catalog = BuildCatalogLocked(read.excluded);
     IMPLIANCE_ASSIGN_OR_RETURN(
         std::unique_ptr<query::Planner> planner,
         query::CreatePlanner(planner_name, &stats_cache_));

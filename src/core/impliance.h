@@ -42,9 +42,9 @@ struct ImplianceOptions {
   size_t memtable_max_docs = 4096;
   bool sync_wal = false;
   // Scale-out tier (Section 3.3): when > 0 the appliance mirrors documents
-  // onto a simulated blade cluster and routes keyword search through its
-  // failure-aware scatter-gather, so node loss surfaces as a degraded
-  // answer instead of a wrong one. 0 = single-node (default).
+  // onto a simulated blade cluster; every query answers from the local
+  // indexes without the documents the blades cannot serve, so node loss
+  // surfaces as a degraded answer instead of a wrong one. 0 = single node.
   size_t scale_out_data_nodes = 0;
   size_t scale_out_replication = 1;
   // Autonomic partition management on the scale-out tier (Section 3.4):
@@ -139,18 +139,20 @@ class Impliance {
 
   // --------------------------------------------------------------- Query
 
-  // Interface 1a: ranked keyword search, works out of the box. With a
-  // scale-out tier configured, `health` (optional) reports whether the
-  // answer is complete or degraded by node failures.
+  // Interface 1a: ranked keyword search, works out of the box. BM25 over
+  // the local index on both tiers, so blade placement never changes a rank;
+  // with a scale-out tier, hits the blades cannot serve are skipped and
+  // `health` (optional) reports them. Complete answers are {false, 0}.
   std::vector<SearchHit> Search(const std::string& keywords, size_t k,
                                 QueryHealth* health = nullptr) const;
 
   // Hierarchy-aware search (Section 3.3's native-hierarchy indexing):
   // restrict ranking to the text under one document path, e.g. search
-  // only e-mail subjects with path "/doc/subject".
+  // only e-mail subjects with path "/doc/subject". Availability and
+  // `health` as in Search.
   std::vector<SearchHit> SearchField(const std::string& path,
-                                     const std::string& keywords,
-                                     size_t k) const;
+                                     const std::string& keywords, size_t k,
+                                     QueryHealth* health = nullptr) const;
 
   // Interface 1b: faceted/guided search with drill-down and aggregates.
   // With a scale-out tier, counts and aggregates are restricted to
@@ -290,33 +292,38 @@ class Impliance {
   // `excluded` (optional) drops that document set from every table — the
   // scale-out tier's availability check under partial failure.
   query::Catalog BuildCatalogLocked(ExcludedSet excluded = nullptr) const;
-  // The one loop that turns ranked index hits into answers: fetches each
-  // body, drops kinds `principal` may not read, stops at `k` hits, and
-  // audits the query under `interface` with exactly the returned ids.
+  // The one loop that turns ranked index hits into answers: skips
+  // `excluded` documents, fetches each body, drops kinds `principal` may
+  // not read, stops at `k` hits, and audits the query under `interface`
+  // with exactly the returned ids.
   std::vector<SearchHit> HitsFor(
       const std::string& principal, const std::string& interface,
       const std::string& query,
       const std::vector<index::InvertedIndex::SearchResult>& results,
-      size_t k) const;
+      const ExcludedSet& excluded, size_t k) const;
   // Degree of parallelism for one query's fan-out: the cluster scheduler's
   // rule over the shared executor's workers, with queued background
   // discovery as grid load, so a busy appliance degrades to serial.
   size_t ChooseDop() const;
-  // What the blades cannot serve right now (nullptr on a single node, or
-  // when every document can be served), reporting it through `health`.
-  // Takes no lock of ours.
-  ExcludedSet MissingDocs(QueryHealth* health) const;
-  // `missing` plus the documents whose mirror failed: what a query must not
-  // read. Caller holds mutex_ (shared suffices) from this call until the
-  // query has read, so no write can store a document in between.
-  ExcludedSet ExcludedLocked(ExcludedSet missing) const;
+  // A query's view of the local indexes: `lock` holds mutex_ shared until
+  // the query has read, and `excluded` is what it must not read — what the
+  // blades cannot serve plus the unmirrored documents (nullptr when none).
+  struct AvailableRead {
+    std::shared_lock<std::shared_mutex> lock;
+    ExcludedSet excluded;
+    size_t excluded_count() const { return excluded ? excluded->size() : 0; }
+  };
+  // The one way every query interface reads: asks the blades what they
+  // cannot serve (without mutex_), reports it through `health` ({false, 0}
+  // on a single node), then takes the shared lock.
+  AvailableRead ReadAvailable(QueryHealth* health) const;
   std::string LabelFor(model::DocId id) const;
 
   ImplianceOptions options_;
   std::unique_ptr<storage::DocumentStore> store_;
-  // Mirrors documents under their store-assigned ids; keyword search routes
-  // through it when present. The local store stays authoritative for
-  // document bodies (snippets, access checks).
+  // Mirrors documents under their store-assigned ids. Queries only ask it
+  // what it cannot serve (ReadAvailable); the local store and indexes stay
+  // authoritative for bodies, rankings and access checks.
   std::unique_ptr<cluster::SimulatedCluster> scale_out_;
   std::unique_ptr<virt::ExecutionManager> execution_;
   std::atomic<bool> quiesced_{false};

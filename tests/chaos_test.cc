@@ -429,6 +429,55 @@ TEST_P(ApplianceChaosTest, NodeKilledMidFacetDegradesExplicitly) {
   EXPECT_LT(recovered.total_matches, 40u);
 }
 
+// Keyword and field search rank from the core's own index, which keeps the
+// documents of a lost partition: the availability check must drop them
+// from the hits and declare the loss.
+TEST_P(ApplianceChaosTest, NodeKilledMidSearchDegradesExplicitly) {
+  ApplianceTempDir dir("search");
+  auto impliance = OpenScaleOut(dir.path());
+  std::string csv = "order_no,city,total\n";
+  for (int i = 0; i < 40; ++i) {
+    csv += std::to_string(i) + ",london," + std::to_string(i) + "\n";
+  }
+  ASSERT_TRUE(impliance->InfuseContent("order", csv).ok());
+
+  core::QueryHealth baseline_health;
+  ASSERT_EQ(impliance->Search("london", 40, &baseline_health).size(), 40u);
+  ASSERT_FALSE(baseline_health.degraded);
+
+  // Kill a node in the submit window of the search's availability scatter
+  // (replication=1, so the lost partition has no surviving holder).
+  ScopedFaultInjection fi(GetParam());
+  fi->ArmAtHit("node.submit.crash", fi->hits("node.submit.crash") + 1);
+  core::QueryHealth health;
+  const std::vector<core::SearchHit> hits =
+      impliance->Search("london", 40, &health);
+  EXPECT_EQ(fi->triggers("node.submit.crash"), 1u);
+  fi->Disarm("node.submit.crash");
+  EXPECT_TRUE(health.degraded);
+  EXPECT_GT(health.missing_partitions, 0u);
+
+  // The documents no live holder can serve: exactly those not returned.
+  SimulatedCluster* cluster = impliance->scale_out();
+  ASSERT_NE(cluster, nullptr);
+  std::set<model::DocId> lost;
+  for (model::DocId id : impliance->DocsOfKind("order")) {
+    if (!cluster->Get(id).ok()) lost.insert(id);
+  }
+  EXPECT_FALSE(lost.empty());
+  EXPECT_EQ(hits.size() + lost.size(), 40u);
+  for (const core::SearchHit& hit : hits) {
+    EXPECT_FALSE(lost.contains(hit.doc)) << "doc " << hit.doc;
+  }
+  core::QueryHealth field_health;
+  for (const core::SearchHit& hit :
+       impliance->SearchField("/doc/city", "london", 40, &field_health)) {
+    EXPECT_FALSE(lost.contains(hit.doc)) << "doc " << hit.doc;
+  }
+  EXPECT_TRUE(field_health.degraded);
+  EXPECT_EQ(field_health.missing_partitions, health.missing_partitions);
+}
+
 TEST_P(ApplianceChaosTest, NodeKilledMidSqlDegradesExplicitly) {
   ApplianceTempDir dir("sql");
   auto impliance = OpenScaleOut(dir.path());

@@ -100,6 +100,32 @@ TEST(ImplianceTest, SearchWithZeroLimitReturnsNoHits) {
   }
 }
 
+// A single node is always complete: search overwrites a caller's stale
+// health with {false, 0}.
+TEST(ImplianceTest, SingleNodeSearchResetsHealth) {
+  TempDir dir("search_health");
+  auto impliance = OpenAt(dir.path());
+  ASSERT_TRUE(
+      impliance->InfuseContent("ticket", "id,text\n1,refund is late\n").ok());
+  const auto expect_reset = [](const QueryHealth& health) {
+    EXPECT_FALSE(health.degraded);
+    EXPECT_EQ(health.missing_partitions, 0u);
+  };
+  QueryHealth health{true, 5};
+  EXPECT_EQ(impliance->Search("refund", 10, &health).size(), 1u);
+  expect_reset(health);
+  health = QueryHealth{true, 5};
+  auto hits =
+      impliance->SearchAs(AccessController::kAdmin, "refund", 10, &health);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(hits->size(), 1u);
+  expect_reset(health);
+  health = QueryHealth{true, 5};
+  EXPECT_EQ(impliance->SearchField("/doc/text", "refund", 10, &health).size(),
+            1u);
+  expect_reset(health);
+}
+
 TEST(ImplianceTest, SqlOverInferredViews) {
   TempDir dir("sql");
   auto impliance = OpenAt(dir.path());
@@ -179,8 +205,8 @@ TEST(ImplianceTest, RecoveryFailsOpenWhenScaleOutMirrorCannotStore) {
     FaultInjector::Install(nullptr);
     ASSERT_FALSE(broken.ok());
   }
-  // Without the fault the same reopen succeeds and serves the document
-  // through the scatter-gather path, complete.
+  // Without the fault the same reopen succeeds and serves the document,
+  // complete.
   auto recovered = Impliance::Open(
       {.data_dir = dir.path(), .scale_out_data_nodes = 4});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();

@@ -365,11 +365,33 @@ std::map<std::string, std::pair<double, double>> CityTotals(
   return totals;
 }
 
+// (doc, score) of each hit, in rank order.
+std::vector<std::pair<DocId, double>> Ranked(
+    const std::vector<SearchHit>& hits) {
+  std::vector<std::pair<DocId, double>> ranked;
+  for (const SearchHit& hit : hits) ranked.emplace_back(hit.doc, hit.score);
+  return ranked;
+}
+
+// `all` (a complete ranking) restricted to `servable` and cut at `k`.
+std::vector<std::pair<DocId, double>> ServableTopK(
+    const std::vector<SearchHit>& all, const std::set<DocId>& servable,
+    size_t k) {
+  std::vector<std::pair<DocId, double>> top;
+  for (const SearchHit& hit : all) {
+    if (top.size() == k) break;
+    if (servable.contains(hit.doc)) top.emplace_back(hit.doc, hit.score);
+  }
+  return top;
+}
+
 // SQL (both planners at the scheduler's DOP: full scan, GROUP BY, and point
-// lookups through the value index), facet counts and sums, and the
-// exclusion set itself all agree with `oracle`. `unmirrored` lists the order documents
-// whose mirror failed.
-void ExpectMatchesDirectory(Impliance* impliance,
+// lookups through the value index), facet counts and sums, keyword and
+// field search, and the exclusion set itself all agree with `oracle`.
+// `reference` is a single-node appliance holding the same documents under
+// the same ids: search must return its ranking filtered to the servable
+// documents. `unmirrored` lists the order documents whose mirror failed.
+void ExpectMatchesDirectory(Impliance* impliance, const Impliance& reference,
                             const DirectoryOracle& oracle,
                             const std::set<DocId>& unmirrored = {}) {
   cluster::SimulatedCluster* cluster = impliance->scale_out();
@@ -466,6 +488,29 @@ void ExpectMatchesDirectory(Impliance* impliance,
   }
   EXPECT_EQ(counts, want_counts);
   EXPECT_DOUBLE_EQ(faceted.aggregate_values.at("sum(/doc/total)"), want_sum);
+
+  const std::vector<DocId> orders = reference.DocsOfKind("order");
+  ASSERT_EQ(orders, impliance->DocsOfKind("order"));
+  for (const char* keywords : {"london", "paris lima", "tokyo"}) {
+    const std::vector<SearchHit> all = reference.Search(keywords, orders.size());
+    const std::vector<SearchHit> all_city =
+        reference.SearchField("/doc/city", keywords, orders.size());
+    for (size_t k : {10, 200}) {
+      const std::string what =
+          std::string("'") + keywords + "' k=" + std::to_string(k);
+      QueryHealth search_health;
+      EXPECT_EQ(Ranked(impliance->Search(keywords, k, &search_health)),
+                ServableTopK(all, oracle.servable, k))
+          << what;
+      ExpectHealth(search_health, oracle.health, "search " + what);
+      QueryHealth field_health;
+      EXPECT_EQ(Ranked(impliance->SearchField("/doc/city", keywords, k,
+                                              &field_health)),
+                ServableTopK(all_city, oracle.servable, k))
+          << what;
+      ExpectHealth(field_health, oracle.health, "field search " + what);
+    }
+  }
 }
 
 std::unique_ptr<Impliance> OpenBlades(const TempDir& dir, size_t replication) {
@@ -476,20 +521,31 @@ std::unique_ptr<Impliance> OpenBlades(const TempDir& dir, size_t replication) {
   return impliance;
 }
 
+// A single-node appliance loaded like OpenBlades, under the same ids.
+std::unique_ptr<Impliance> OpenReference(const TempDir& dir) {
+  auto reference = Open({.data_dir = dir.path()});
+  EXPECT_TRUE(reference->InfuseContent("order", OrdersCsv(0, 5000)).ok());
+  return reference;
+}
+
 TEST(ScaleOutAvailabilityTest, HealthyReplicationTwoExcludesNothing) {
   TempDir dir("avail_healthy");
   auto impliance = OpenBlades(dir, 2);
+  TempDir reference_dir("avail_healthy_reference");
+  auto reference = OpenReference(reference_dir);
   const DirectoryOracle oracle =
       OracleFromDirectory(*impliance, impliance->scale_out());
   ASSERT_EQ(oracle.servable.size(), 5000u);
   ASSERT_FALSE(oracle.health.degraded);
   EXPECT_EQ(impliance->scale_out()->AvailableDocs(), nullptr);
-  ExpectMatchesDirectory(impliance.get(), oracle);
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle);
 }
 
 TEST(ScaleOutAvailabilityTest, KilledBladeAtReplicationOneExcludesItsDocs) {
   TempDir dir("avail_killed");
   auto impliance = OpenBlades(dir, 1);
+  TempDir reference_dir("avail_killed_reference");
+  auto reference = OpenReference(reference_dir);
   cluster::SimulatedCluster* cluster = impliance->scale_out();
   // Check once while healthy, so the cached ownership snapshot still names
   // the victim: the next check loses its task, fails over, and finds no
@@ -499,12 +555,14 @@ TEST(ScaleOutAvailabilityTest, KilledBladeAtReplicationOneExcludesItsDocs) {
   const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
   ASSERT_TRUE(oracle.health.degraded);
   ASSERT_LT(oracle.servable.size(), 5000u);
-  ExpectMatchesDirectory(impliance.get(), oracle);
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle);
 }
 
 TEST(ScaleOutAvailabilityTest, EmptyRejoinLeavesOrphansExcluded) {
   TempDir dir("avail_rejoin");
   auto impliance = OpenBlades(dir, 1);
+  TempDir reference_dir("avail_rejoin_reference");
+  auto reference = OpenReference(reference_dir);
   cluster::SimulatedCluster* cluster = impliance->scale_out();
   // The blade rejoins empty in a new incarnation: its directory entries
   // name a holder that no longer has the bytes, so those documents are
@@ -515,12 +573,14 @@ TEST(ScaleOutAvailabilityTest, EmptyRejoinLeavesOrphansExcluded) {
   const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
   ASSERT_TRUE(oracle.health.degraded);
   ASSERT_LT(oracle.servable.size(), 5000u);
-  ExpectMatchesDirectory(impliance.get(), oracle);
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle);
 }
 
 TEST(ScaleOutAvailabilityTest, InFlightMigrationExcludesNothing) {
   TempDir dir("avail_move");
   auto impliance = OpenBlades(dir, 1);
+  TempDir reference_dir("avail_move_reference");
+  auto reference = OpenReference(reference_dir);
   cluster::SimulatedCluster* cluster = impliance->scale_out();
   const DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
   ASSERT_EQ(oracle.servable.size(), 5000u);
@@ -538,7 +598,7 @@ TEST(ScaleOutAvailabilityTest, InFlightMigrationExcludesNothing) {
       from = to;
     }
   });
-  ExpectMatchesDirectory(impliance.get(), oracle);
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle);
   stop.store(true);
   mover.join();
   EXPECT_GT(cluster->PartitionTable()[0].epoch, table[0].epoch);
@@ -548,17 +608,21 @@ TEST(ScaleOutAvailabilityTest, InFlightMigrationExcludesNothing) {
 TEST(ScaleOutAvailabilityTest, DocumentWhoseMirrorFailedStaysExcluded) {
   TempDir dir("avail_mirror");
   auto impliance = OpenBlades(dir, 2);
+  TempDir reference_dir("avail_mirror_reference");
+  auto reference = OpenReference(reference_dir);
   {
     // Every replica store is dropped: the core keeps the document, but no
     // blade acknowledged it, so the write fails and the directory has no
-    // entry for it.
+    // entry for it. Its city holds two query words, so it tops the local
+    // ranking of "paris lima" and search must skip it.
+    const model::Document extra =
+        MakeRecordDocument("order", {{"order_no", Value::Int(9999)},
+                                     {"city", Value::String("paris lima")},
+                                     {"total", Value::Int(500)}});
+    EXPECT_TRUE(reference->Infuse(extra).ok());
     ScopedFaultInjection fi(7);
     fi->Arm("node.submit.drop", 1.0);
-    Result<DocId> id = impliance->Infuse(
-        MakeRecordDocument("order", {{"order_no", Value::Int(9999)},
-                                     {"city", Value::String("paris")},
-                                     {"total", Value::Int(500)}}));
-    EXPECT_FALSE(id.ok());
+    EXPECT_FALSE(impliance->Infuse(extra).ok());
   }
   const std::vector<DocId> orders = impliance->DocsOfKind("order");
   ASSERT_EQ(orders.size(), 5001u);
@@ -567,7 +631,7 @@ TEST(ScaleOutAvailabilityTest, DocumentWhoseMirrorFailedStaysExcluded) {
       OracleFromDirectory(*impliance, impliance->scale_out());
   ASSERT_FALSE(oracle.servable.contains(unmirrored));
   ASSERT_FALSE(oracle.health.degraded);
-  ExpectMatchesDirectory(impliance.get(), oracle, {unmirrored});
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle, {unmirrored});
 }
 
 // One batch whose rows route to live and dead blades fails as a whole
@@ -577,11 +641,14 @@ TEST(ScaleOutAvailabilityTest, DocumentWhoseMirrorFailedStaysExcluded) {
 TEST(ScaleOutAvailabilityTest, PartlyMirroredBatchExcludesOnlyDeadBladeRows) {
   TempDir dir("avail_batch");
   auto impliance = OpenBlades(dir, 1);
+  TempDir reference_dir("avail_batch_reference");
+  auto reference = OpenReference(reference_dir);
   cluster::SimulatedCluster* cluster = impliance->scale_out();
   const cluster::NodeId victim = cluster->data_nodes()[1]->id();
   cluster->FailNode(victim);
   const std::vector<DocId> before = impliance->DocsOfKind("order");
   EXPECT_FALSE(impliance->InfuseContent("order", OrdersCsv(5000, 5200)).ok());
+  ASSERT_TRUE(reference->InfuseContent("order", OrdersCsv(5000, 5200)).ok());
 
   // The batch's rows, and the ones whose routing tablet's only replica is
   // the dead blade (documents route by Mix64 of their id).
@@ -610,7 +677,7 @@ TEST(ScaleOutAvailabilityTest, PartlyMirroredBatchExcludesOnlyDeadBladeRows) {
     EXPECT_EQ(oracle.servable.contains(id), !routed_to_victim.contains(id))
         << "doc " << id;
   }
-  ExpectMatchesDirectory(impliance.get(), oracle, routed_to_victim);
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle, routed_to_victim);
   EXPECT_TRUE(cluster->CheckIntegrity().ok());
 }
 
@@ -709,6 +776,13 @@ TEST(ScaleOutAvailabilityTest, ConcurrentFailedMirrorsAreNeverServed) {
     }
     const query::FacetedResult faceted = impliance->Faceted(facet);
     served_ids.insert(faceted.docs.begin(), faceted.docs.end());
+    for (const SearchHit& hit : impliance->Search("ghost", kGhosts)) {
+      served_ids.insert(hit.doc);
+    }
+    for (const SearchHit& hit :
+         impliance->SearchField("/doc/city", "ghost", kGhosts)) {
+      served_ids.insert(hit.doc);
+    }
   } while (!done.load());
   writer.join();
 
