@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cluster/cluster.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -174,6 +175,38 @@ void BM_FacetedSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FacetedSearch)->Unit(benchmark::kMicrosecond);
+
+// --------------------------------------------------------------- scale-out
+
+// One scale-out availability check (SimulatedCluster::AvailableDocs, which
+// every scale-out SQL, facet and search call runs first) over 4 blades at
+// replication 2, after the ownership snapshot is cached. With no document
+// removed from a blade since, the check costs O(blades), so the time
+// should not grow with the corpus.
+void BM_AvailableDocs(benchmark::State& state) {
+  cluster::SimulatedCluster cluster({.num_data_nodes = 4, .replication = 2});
+  std::vector<model::Document> docs;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    docs.push_back(model::MakeRecordDocument(
+        "order",
+        {{"order_no", model::Value::Int(i)},
+         {"city", model::Value::String("city" + std::to_string(i % 8))}}));
+  }
+  if (!cluster.IngestBatch(std::move(docs)).unplaced.empty()) {
+    state.SkipWithError("ingest left documents unplaced");
+    return;
+  }
+  cluster.AvailableDocs();  // builds and caches the ownership snapshot
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cluster.AvailableDocs());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AvailableDocs)
+    ->Arg(10000)
+    ->Arg(20000)
+    ->UseRealTime()  // the check runs on the blades' threads
+    ->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------------- document
 

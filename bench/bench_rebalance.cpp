@@ -12,8 +12,9 @@
 //
 // Gates (exit nonzero on violation): both configs return the identical
 // sorted doc-id set for every probe query, no degraded answers, integrity
-// clean after every balancer pass (no duplicate holders, gapless table),
-// and the balancer cuts ownership spread by at least 2x.
+// clean after every balancer pass (no duplicate holders, no directory
+// holder missing its bytes, gapless table), and the balancer cuts
+// ownership spread by at least 2x.
 //
 // Emits JSON (--json PATH) for CI archiving. Deterministic for a fixed
 // --seed (the seed only varies probe-query order).
@@ -69,6 +70,7 @@ struct RunResult {
   size_t silent = 0;        // complete-flagged but short answers
   size_t integrity_bad = 0; // balancer passes leaving a broken invariant
   size_t duplicate_holders = 0;
+  size_t directory_phantoms = 0;  // listed holders without the bytes
   // Sorted doc-id answer per probe term, for cross-config equality.
   std::vector<std::vector<model::DocId>> answers;
 };
@@ -96,6 +98,7 @@ RunResult RunWorkload(uint64_t seed, bool balancer_on) {
   SimulatedCluster cluster(opt);
 
   size_t ingested = 0;
+  double audit_secs = 0;
   const auto ingest_start = std::chrono::steady_clock::now();
   for (int i = 0; i < kDocs; ++i) {
     if (cluster.Ingest(Memo(i)).ok()) ++ingested;
@@ -105,15 +108,22 @@ RunResult RunWorkload(uint64_t seed, bool balancer_on) {
       out.merges += r.merges;
       out.moves += r.moves;
       out.docs_moved += r.docs_moved;
+      // The audit is a check, not ingest work: keep it off the clock.
+      const auto audit_start = std::chrono::steady_clock::now();
       const SimulatedCluster::IntegrityReport integ = cluster.CheckIntegrity();
+      audit_secs += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - audit_start)
+                        .count();
       if (!integ.ok()) ++out.integrity_bad;
       out.duplicate_holders += integ.duplicate_holders;
+      out.directory_phantoms += integ.directory_phantoms;
     }
   }
   const double ingest_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     ingest_start)
-          .count();
+          .count() -
+      audit_secs;
   out.ingest_docs_per_sec = ingest_secs > 0 ? ingested / ingest_secs : 0;
   out.spread = cluster.OwnershipSpread();
 
@@ -156,6 +166,7 @@ RunResult RunWorkload(uint64_t seed, bool balancer_on) {
   const SimulatedCluster::IntegrityReport integ = cluster.CheckIntegrity();
   if (!integ.ok()) ++out.integrity_bad;
   out.duplicate_holders += integ.duplicate_holders;
+  out.directory_phantoms += integ.directory_phantoms;
   return out;
 }
 
@@ -174,11 +185,12 @@ void WriteJson(const std::string& path, const RunResult& off,
                  "\"query_p99_ms\": %.3f, \"splits\": %zu, \"merges\": %zu, "
                  "\"moves\": %zu, \"docs_moved\": %zu, \"degraded\": %zu, "
                  "\"silent_partials\": %zu, \"integrity_violations\": %zu, "
-                 "\"duplicate_holders\": %zu}%s\n",
+                 "\"duplicate_holders\": %zu, "
+                 "\"directory_phantoms\": %zu}%s\n",
                  name, r.spread, r.ingest_docs_per_sec, r.query_p50_ms,
                  r.query_p99_ms, r.splits, r.merges, r.moves, r.docs_moved,
                  r.degraded, r.silent, r.integrity_bad, r.duplicate_holders,
-                 tail);
+                 r.directory_phantoms, tail);
   };
   std::fprintf(f, "{\n  \"bench\": \"rebalance\",\n  \"seed\": %llu,\n",
                static_cast<unsigned long long>(seed));
@@ -237,15 +249,18 @@ int main(int argc, char** argv) {
   std::printf("  identical sorted doc-id answers across configs: %s\n",
               identical ? "yes" : "NO");
   std::printf("  silent partials: %zu, integrity violations: %zu, "
-              "duplicate holders: %zu (all must be 0)\n",
+              "duplicate holders: %zu, directory phantoms: %zu (all must be "
+              "0)\n",
               off.silent + on.silent, off.integrity_bad + on.integrity_bad,
-              off.duplicate_holders + on.duplicate_holders);
+              off.duplicate_holders + on.duplicate_holders,
+              off.directory_phantoms + on.directory_phantoms);
 
   const bool pass = identical && reduction >= 2.0 &&
                     off.silent + on.silent == 0 &&
                     off.degraded + on.degraded == 0 &&
                     off.integrity_bad + on.integrity_bad == 0 &&
-                    off.duplicate_holders + on.duplicate_holders == 0;
+                    off.duplicate_holders + on.duplicate_holders == 0 &&
+                    off.directory_phantoms + on.directory_phantoms == 0;
   if (!json_path.empty())
     WriteJson(json_path, off, on, reduction, identical, seed, pass);
   return pass ? 0 : 1;

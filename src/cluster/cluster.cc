@@ -21,14 +21,18 @@ namespace {
 // is reported as degraded instead of being retried forever.
 constexpr int kMaxScatterRounds = 3;
 
-// Partition-management metrics, registered once and cached (registration
-// takes the registry mutex; Increment is lock-free).
+// Partition-management and scatter metrics, registered once and cached
+// (registration takes the registry mutex; Increment is lock-free).
 struct PartitionMetrics {
   obs::Counter* splits;
   obs::Counter* merges;
   obs::Counter* moves;
   obs::Counter* docs_moved;
   obs::Counter* balancer_passes;
+  // Documents a scatter task probed for presence: 0 per query while no
+  // document has left a blade, so a nonzero rate explains a slow
+  // availability check.
+  obs::Counter* presence_probes;
 };
 PartitionMetrics& Metrics() {
   static PartitionMetrics metrics = [] {
@@ -39,6 +43,7 @@ PartitionMetrics& Metrics() {
         registry.GetCounter("cluster.partition.moves"),
         registry.GetCounter("cluster.partition.docs_moved"),
         registry.GetCounter("cluster.balancer.passes"),
+        registry.GetCounter("cluster.presence_probes"),
     };
   }();
   return metrics;
@@ -203,6 +208,13 @@ TaskOutcome SimulatedCluster::StoreOnNode(NodeId node, DocPtr doc,
   return outcome.get();
 }
 
+void SimulatedCluster::Partition::Erase(model::DocId id) {
+  inverted.RemoveDocument(id);
+  docs.erase(id);
+  placed.erase(id);
+  removals.fetch_add(1);
+}
+
 bool SimulatedCluster::HolderStillValid(NodeId node,
                                         uint64_t epoch_at_store) const {
   return data_nodes_[node]->alive() &&
@@ -221,10 +233,13 @@ std::vector<model::DocId> SimulatedCluster::StoreBatch(std::vector<DocPtr> docs,
   obs::ScopedSpan span("cluster.ingest");
   const size_t n = data_nodes_.size();
   // Place the whole batch under one partition-table hold; every store
-  // heats its tablet like any other point op.
+  // heats its tablet like any other point op. The batch stays pending
+  // until its directory commit, so a migration's delete spares its copies.
   std::vector<std::vector<NodeId>> replicas(docs.size());
+  std::multiset<uint64_t>::iterator pending;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
+    pending = pending_stores_.insert(placement_clock_.load());
     for (size_t i = 0; i < docs.size(); ++i) {
       ++RoutedPartitionLocked(docs[i]->id).traffic;
       replicas[i] = PlaceReplicasLocked(docs[i]->id, copies);
@@ -301,8 +316,9 @@ std::vector<model::DocId> SimulatedCluster::StoreBatch(std::vector<DocPtr> docs,
     }
     if (unplaced.size() < docs.size()) InvalidateOwnershipLocked();
   }
-  if (!fresh.empty()) {
+  {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
+    pending_stores_.erase(pending);
     for (model::DocId id : fresh) ++RoutedPartitionLocked(id).doc_count;
   }
   return unplaced;
@@ -388,6 +404,9 @@ SimulatedCluster::OwnershipByNode() const {
   std::lock_guard<std::mutex> lock(directory_mutex_);
   if (ownership_cache_ == nullptr) {
     auto snapshot = std::make_shared<OwnershipSnapshot>();
+    for (NodeId node = 0; node < data_nodes_.size(); ++node) {
+      snapshot->removals[node] = PartitionFor(node)->removals.load();
+    }
     for (const auto& [id, entry] : directory_) {
       bool owned = false;
       for (const Holder& holder : entry.holders) {
@@ -449,7 +468,8 @@ SimulatedCluster::RerouteLost(const std::vector<PartitionAssignment>& lost,
   for (auto& [node, docs] : regrouped) {
     next.push_back(PartitionAssignment{
         node, epochs[node],
-        std::make_shared<const std::set<model::DocId>>(std::move(docs))});
+        std::make_shared<const std::set<model::DocId>>(std::move(docs)),
+        std::nullopt});
   }
   return next;
 }
@@ -478,7 +498,8 @@ void SimulatedCluster::ScatterWithFailover(
     // Aliasing: shares ownership of the snapshot, points at one node's set.
     round.push_back(PartitionAssignment{
         node_id, snapshot->epochs.at(node_id),
-        std::shared_ptr<const std::set<model::DocId>>(snapshot, &owned)});
+        std::shared_ptr<const std::set<model::DocId>>(snapshot, &owned),
+        snapshot->removals.at(node_id)});
   }
 
   for (int attempt = 0; !round.empty() && attempt < kMaxScatterRounds;
@@ -505,6 +526,7 @@ void SimulatedCluster::ScatterWithFailover(
       std::shared_ptr<Partition> partition = PartitionFor(assignment.node);
       Node* node = data_nodes_[assignment.node].get();
       const uint64_t expected_epoch = assignment.epoch;
+      const std::optional<uint64_t> expected_removals = assignment.removals;
       std::future<TaskOutcome> outcome;
       node->Submit(
           // The trace rides into the node thread by value and is attached
@@ -512,8 +534,8 @@ void SimulatedCluster::ScatterWithFailover(
           // work opens (index.search), record against the request that
           // issued the scatter.
           [fn = std::move(fn), micros, stale, stray, node, expected_epoch,
-           partition = std::move(partition), docs = assignment.docs,
-           trace = obs::CurrentTrace()] {
+           expected_removals, partition = std::move(partition),
+           docs = assignment.docs, trace = obs::CurrentTrace()] {
             // The assignment was made against a specific incarnation of
             // this node's partition. If the node died and rejoined since,
             // running the task would scan the wrong (empty) partition and
@@ -527,10 +549,15 @@ void SimulatedCluster::ScatterWithFailover(
             // deletes): any assigned document no longer physically here
             // was migrated away since the ownership snapshot — record it
             // so the coordinator re-routes it through the live directory
-            // instead of serving a hole. `placed` has the keys of `docs`
-            // and hashes them, so this is O(1) per document.
-            for (model::DocId id : *docs) {
-              if (!partition->placed.contains(id)) stray->push_back(id);
+            // instead of serving a hole. An unchanged removal count proves
+            // nothing left (see OwnershipSnapshot), so the probe — O(1)
+            // per document in `placed` — runs only after an erase or on a
+            // failover assignment.
+            if (expected_removals != partition->removals.load()) {
+              Metrics().presence_probes->Increment(docs->size());
+              for (model::DocId id : *docs) {
+                if (!partition->placed.contains(id)) stray->push_back(id);
+              }
             }
             obs::ScopedTraceAttach attach(trace);
             const uint64_t start = NowMicros();
@@ -562,7 +589,8 @@ void SimulatedCluster::ScatterWithFailover(
         lost.push_back(PartitionAssignment{
             p.assignment.node, p.assignment.epoch,
             std::make_shared<const std::set<model::DocId>>(strays[i].begin(),
-                                                           strays[i].end())});
+                                                           strays[i].end()),
+            std::nullopt});
       }
       ++i;
     }
@@ -666,11 +694,11 @@ SimulatedCluster::AvailableDocs(ShipStats* stats) {
 
   // Scatter: each owning data node verifies, against its live partition,
   // that it can serve its assigned documents. ScatterWithFailover's epoch
-  // and presence checks are that verification, so the node task itself is
-  // empty. Nodes lost mid-check fail over like any other scatter;
-  // documents the directory mis-attributed (migrated mid-check) are
-  // re-routed by the scatter's stray-document detection, and anything
-  // still unreachable is collected, never silently served.
+  // check and removal-count-gated presence probe are that verification,
+  // so the node task itself is empty. Nodes lost mid-check fail over like
+  // any other scatter; documents the directory mis-attributed (migrated
+  // mid-check) are re-routed by the scatter's stray-document detection,
+  // and anything still unreachable is collected, never silently served.
   std::vector<model::DocId> missing;
   ScatterWithFailover(
       [&](NodeId, std::shared_ptr<const std::set<model::DocId>>) {
@@ -1411,15 +1439,43 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
       if (on_from && !on_to) ids.push_back(id);
     }
   }
-  struct Moved {
-    model::DocId id;
-    uint64_t version;  // version we copied; deletion is checked against it
-    // placement_clock_ at the directory swap: copies placed on `from` at or
-    // after it were put there by someone else and are not deleted.
-    uint64_t swapped_at;
-  };
-  std::vector<Moved> moved;
   uint64_t bytes = 0;
+  const std::vector<MovedCopy> moved = CopyAndSwap(ids, from, to, &bytes);
+  bytes += DeleteMovedCopies(from, to, moved);
+  // Re-point the tablet's preferred targets so future ingest routes to
+  // the new home, and bump the partition epoch.
+  {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (auto& [bound, state] : ptable_) {
+      if (state.pid != pid) continue;
+      const bool has_to = std::find(state.replicas.begin(),
+                                    state.replicas.end(),
+                                    to) != state.replicas.end();
+      auto from_it =
+          std::find(state.replicas.begin(), state.replicas.end(), from);
+      if (from_it != state.replicas.end()) {
+        if (has_to) {
+          state.replicas.erase(from_it);
+        } else {
+          *from_it = to;
+        }
+      }
+      state.epoch += 1;
+      break;
+    }
+  }
+  if (!moved.empty()) {
+    Metrics().moves->Increment();
+    Metrics().docs_moved->Increment(moved.size());
+    traffic_.bytes_shipped.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  return moved.size();
+}
+
+std::vector<SimulatedCluster::MovedCopy> SimulatedCluster::CopyAndSwap(
+    const std::vector<model::DocId>& ids, NodeId from, NodeId to,
+    uint64_t* bytes) {
+  std::vector<MovedCopy> moved;
   for (model::DocId id : ids) {
     Result<DocPtr> doc = GetShared(id);
     if (!doc.ok()) continue;
@@ -1466,83 +1522,94 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     // Uncommitted copies are harmless: the directory never references
     // them, so no query routes there, and the source keeps serving.
     if (!committed) continue;
-    moved.push_back(Moved{id, (*doc)->version, swapped_at});
-    bytes += DocBytes(**doc);
+    moved.push_back(MovedCopy{id, (*doc)->version, swapped_at});
+    *bytes += DocBytes(**doc);
   }
-  if (!moved.empty()) {
-    // Delete the source bytes on the source node's own mailbox thread —
-    // serialized with every scatter task against that node, so an
-    // in-flight query either ran before (bytes still there) or after (the
-    // stray-document check re-routes through the directory, which already
-    // points at the new home). Version-checked: a concurrent update that
-    // landed on the source after our copy is carried to the new home
-    // below, never silently lost. Placement-checked: a copy stored after
-    // the swap (a re-replication pass or an ingest that picked `from`
-    // again, and may already list it as a holder) is left in place.
-    std::shared_ptr<Partition> partition = PartitionFor(from);
-    auto dirty = std::make_shared<std::vector<DocPtr>>();
-    const std::vector<Moved> batch = moved;
-    data_nodes_[from]->Run([partition, batch, dirty] {
-      for (const Moved& m : batch) {
-        auto it = partition->docs.find(m.id);
-        if (it == partition->docs.end()) continue;
-        if (it->second->version != m.version) dirty->push_back(it->second);
-        auto placed = partition->placed.find(m.id);
-        if (placed != partition->placed.end() &&
-            placed->second >= m.swapped_at) {
-          continue;
+  return moved;
+}
+
+uint64_t SimulatedCluster::DeleteMovedCopies(
+    NodeId from, NodeId to, const std::vector<MovedCopy>& moved) {
+  if (moved.empty()) return 0;
+  // Delete the source bytes on the source node's own mailbox thread —
+  // serialized with every scatter task against that node, so an in-flight
+  // query either ran before (bytes still there) or after (the stray-
+  // document check re-routes through the directory, which already points
+  // at the new home). Version-checked: a concurrent update that landed on
+  // the source after our copy is carried to the new home below, never
+  // silently lost.
+  //
+  // A copy is erased only while no holder the directory lists can name it,
+  // so a valid holder always has its bytes (the invariant the scatter's
+  // probe-free fast path and CheckIntegrity's audit rely on). Spared: a
+  // document the directory lists on `from` again (an ingest that stored
+  // there before the swap and has committed since), and a copy stamped at
+  // or after `keep_from` — placed after the swap (re-replication, or an
+  // ingest that picked `from` again) or by an ingest whose commit is still
+  // pending. The pending stores are read before the directory: a batch
+  // that commits in between was pending at the first read, and one that
+  // starts after it stamps its copies after the swap.
+  uint64_t oldest_pending = UINT64_MAX;
+  std::vector<MovedCopy> unlisted;
+  {
+    std::lock_guard<std::mutex> ptable_lock(ptable_mutex_);
+    if (!pending_stores_.empty()) oldest_pending = *pending_stores_.begin();
+    std::lock_guard<std::mutex> lock(directory_mutex_);
+    for (const MovedCopy& m : moved) {
+      bool listed = false;
+      auto it = directory_.find(m.id);
+      if (it != directory_.end()) {
+        for (const Holder& holder : it->second.holders) {
+          if (holder.node == from &&
+              HolderStillValid(holder.node, holder.epoch)) {
+            listed = true;
+            break;
+          }
         }
-        partition->inverted.RemoveDocument(m.id);
-        partition->docs.erase(it);
-        if (placed != partition->placed.end()) partition->placed.erase(placed);
       }
-    });
-    for (const DocPtr& newer : *dirty) {
-      uint64_t epoch_to = 0;
-      if (StoreOnNode(to, newer, &epoch_to) != TaskOutcome::kExecuted) {
+      if (!listed) unlisted.push_back(m);
+    }
+  }
+  std::shared_ptr<Partition> partition = PartitionFor(from);
+  std::vector<DocPtr> dirty;
+  data_nodes_[from]->Run([&partition, &unlisted, &dirty, oldest_pending] {
+    for (const MovedCopy& m : unlisted) {
+      auto it = partition->docs.find(m.id);
+      if (it == partition->docs.end()) continue;
+      if (it->second->version != m.version) dirty.push_back(it->second);
+      const uint64_t keep_from = std::min(m.swapped_at, oldest_pending);
+      auto placed = partition->placed.find(m.id);
+      if (placed != partition->placed.end() && placed->second >= keep_from) {
         continue;
       }
-      bytes += DocBytes(*newer);
-      std::lock_guard<std::mutex> lock(directory_mutex_);
-      auto it = directory_.find(newer->id);
-      if (it == directory_.end()) continue;
-      for (Holder& holder : it->second.holders) {
-        if (holder.node == to) {
-          holder.epoch = epoch_to;
-          break;
-        }
-      }
-      InvalidateOwnershipLocked();
+      partition->Erase(m.id);
     }
-  }
-  // Re-point the tablet's preferred targets so future ingest routes to
-  // the new home, and bump the partition epoch.
+  });
   {
-    std::lock_guard<std::mutex> lock(ptable_mutex_);
-    for (auto& [bound, state] : ptable_) {
-      if (state.pid != pid) continue;
-      const bool has_to = std::find(state.replicas.begin(),
-                                    state.replicas.end(),
-                                    to) != state.replicas.end();
-      auto from_it =
-          std::find(state.replicas.begin(), state.replicas.end(), from);
-      if (from_it != state.replicas.end()) {
-        if (has_to) {
-          state.replicas.erase(from_it);
-        } else {
-          *from_it = to;
-        }
-      }
-      state.epoch += 1;
-      break;
+    // A snapshot built before the delete read `from`'s old removal count,
+    // and every check against it would keep probing `from`.
+    std::lock_guard<std::mutex> lock(directory_mutex_);
+    InvalidateOwnershipLocked();
+  }
+  uint64_t bytes = 0;
+  for (const DocPtr& newer : dirty) {
+    uint64_t epoch_to = 0;
+    if (StoreOnNode(to, newer, &epoch_to) != TaskOutcome::kExecuted) {
+      continue;
     }
+    bytes += DocBytes(*newer);
+    std::lock_guard<std::mutex> lock(directory_mutex_);
+    auto it = directory_.find(newer->id);
+    if (it == directory_.end()) continue;
+    for (Holder& holder : it->second.holders) {
+      if (holder.node == to) {
+        holder.epoch = epoch_to;
+        break;
+      }
+    }
+    InvalidateOwnershipLocked();
   }
-  if (!moved.empty()) {
-    Metrics().moves->Increment();
-    Metrics().docs_moved->Increment(moved.size());
-    traffic_.bytes_shipped.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  return moved.size();
+  return bytes;
 }
 
 SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
@@ -1686,13 +1753,48 @@ SimulatedCluster::IntegrityReport SimulatedCluster::CheckIntegrity() const {
   IntegrityReport report;
   {
     std::lock_guard<std::mutex> lock(directory_mutex_);
+    // Each data node's valid holdings per the directory, and the
+    // incarnation they were stored in.
+    std::vector<std::vector<model::DocId>> listed(data_nodes_.size());
+    std::vector<uint64_t> epochs(data_nodes_.size());
     for (const auto& [id, entry] : directory_) {
       std::set<NodeId> seen;
+      bool duplicate = false;
       for (const Holder& holder : entry.holders) {
-        if (!seen.insert(holder.node).second) {
-          ++report.duplicate_holders;
-          break;
+        if (!seen.insert(holder.node).second) duplicate = true;
+        if (HolderStillValid(holder.node, holder.epoch)) {
+          listed[holder.node].push_back(id);
+          epochs[holder.node] = holder.epoch;
         }
+      }
+      if (duplicate) ++report.duplicate_holders;
+    }
+    // Physical audit on each holder's own mailbox, all nodes at once. The
+    // directory mutex stays held so no holder is added or swapped away
+    // mid-audit; no data-node task takes it, so the wait cannot deadlock.
+    // A node that dies (or rejoins empty) before its audit runs holds
+    // nothing valid to audit.
+    struct Audit {
+      std::future<TaskOutcome> outcome;
+      size_t absent = 0;
+    };
+    std::deque<Audit> audits;
+    for (NodeId node = 0; node < data_nodes_.size(); ++node) {
+      if (listed[node].empty()) continue;
+      Audit& audit = audits.emplace_back();
+      data_nodes_[node]->Submit(
+          [partition = PartitionFor(node), epoch = epochs[node],
+           ids = &listed[node], absent = &audit.absent] {
+            if (partition->incarnation != epoch) return;
+            for (model::DocId id : *ids) {
+              if (!partition->placed.contains(id)) ++*absent;
+            }
+          },
+          &audit.outcome);
+    }
+    for (Audit& audit : audits) {
+      if (audit.outcome.get() == TaskOutcome::kExecuted) {
+        report.directory_phantoms += audit.absent;
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -153,8 +154,9 @@ class SimulatedCluster {
   // reported through `stats` (degraded + missing_partitions, which equals
   // the set's size) instead of being silently dropped — the mechanism that
   // extends the complete-or-degraded contract beyond keyword search.
-  // Costs O(nodes + missing documents) on the caller, O(1) per assigned
-  // document on the blades.
+  // Costs O(nodes + missing documents) on the caller and O(1) per blade
+  // while no document has left a blade since the ownership snapshot; a
+  // blade some document left probes each of its assigned documents.
   std::shared_ptr<const std::unordered_set<model::DocId>> AvailableDocs(
       ShipStats* stats = nullptr);
 
@@ -291,7 +293,10 @@ class SimulatedCluster {
   // is swapped under the directory mutex with PR 3's incarnation-epoch
   // validity checks (a target that died between copy and commit is not
   // recorded), and the source bytes are deleted afterwards with a
-  // version re-check so a concurrent update is re-copied, not lost. An
+  // version re-check so a concurrent update is re-copied, not lost. A
+  // source copy that a concurrent ingest lists again, or may still list
+  // (its commit pending), is kept, so every holder the directory lists
+  // has its bytes. An
   // in-flight scatter routed at the old holder either finds the bytes
   // still there (delete not yet applied) or detects the absence and
   // re-routes through the directory to the new home — never a silently
@@ -321,17 +326,26 @@ class SimulatedCluster {
 
   // Structural invariants, checked on demand by chaos tests and the
   // rebalance bench after every step: the directory never lists one node
-  // twice for a document, and the partition table is a gapless,
-  // non-overlapping cover of the routing-key space with valid, distinct
-  // replica targets.
+  // twice for a document, every valid holder it lists physically holds the
+  // document (checked on each holder's own mailbox — the invariant the
+  // scatter's probe-free fast path relies on), and the partition table is
+  // a gapless, non-overlapping cover of the routing-key space with valid,
+  // distinct replica targets. The audit submits one task per holder and
+  // holds the directory mutex until they all ran, blocking ingest and
+  // queries meanwhile; it goes through Node::Submit's fault points, so run
+  // it with fault injection disarmed.
   struct IntegrityReport {
     size_t duplicate_holders = 0;      // docs listing one node >= twice
+    // (document, holder) pairs the directory lists as valid whose holder
+    // does not hold the document's bytes.
+    size_t directory_phantoms = 0;
     size_t table_coverage_violations = 0;  // first range does not start at 0
     size_t duplicate_partition_ids = 0;
     size_t empty_replica_sets = 0;
     size_t invalid_replica_targets = 0;  // out of range or listed twice
     bool ok() const {
-      return duplicate_holders == 0 && table_coverage_violations == 0 &&
+      return duplicate_holders == 0 && directory_phantoms == 0 &&
+             table_coverage_violations == 0 &&
              duplicate_partition_ids == 0 && empty_replica_sets == 0 &&
              invalid_replica_targets == 0;
     }
@@ -353,6 +367,7 @@ class SimulatedCluster {
   ShipStats lifetime_traffic() const;
 
  private:
+  friend class SimulatedClusterTestPeer;
   using DocPtr = std::shared_ptr<const model::Document>;
 
   struct Partition {
@@ -367,13 +382,21 @@ class SimulatedCluster {
     // Placement stamp (placement_clock_ at store time) of each doc's copy,
     // so a migration deletes only the copy it moved, never one a later
     // re-replication or ingest placed here. Has exactly the keys of `docs`
-    // and is never iterated, so it doubles as the O(1) presence probe of
-    // every scatter task.
+    // and is never iterated, so it doubles as the O(1) presence probe a
+    // scatter task runs when `removals` says a document may have left.
     std::unordered_map<model::DocId, uint64_t> placed;
     index::InvertedIndex inverted;
     // The node's incarnation (Node::epoch) this partition was created in:
     // bytes stored here survive only while the node stays in it.
     uint64_t incarnation = 0;
+    // Erases since the partition was created. Written on the owning node's
+    // thread, read by OwnershipByNode under the directory mutex.
+    std::atomic<uint64_t> removals{0};
+
+    // The one way bytes leave a partition (short of the whole incarnation):
+    // drops the document's copy, placement stamp and postings, and bumps
+    // `removals`.
+    void Erase(model::DocId id);
   };
 
   // A replica location is a (node, incarnation) pair: bytes stored on a
@@ -404,11 +427,14 @@ class SimulatedCluster {
   // One unit of scatter work: run something over `docs` on `node`, which
   // must still be in incarnation `epoch` when the task runs — otherwise
   // the partition no longer holds these documents and the task must be
-  // treated as lost, not as an (empty) success.
+  // treated as lost, not as an (empty) success. `removals` is the
+  // partition's removal count the ownership snapshot read; failover
+  // assignments carry none.
   struct PartitionAssignment {
     NodeId node;
     uint64_t epoch;
     std::shared_ptr<const std::set<model::DocId>> docs;
+    std::optional<uint64_t> removals;
   };
   // Failure-aware scatter: submits one task per owning data node (built by
   // `make_task`, which must allocate its own output slot and may be called
@@ -418,10 +444,12 @@ class SimulatedCluster {
   // `stats` (degraded + missing_partitions) instead of being silently
   // omitted. Documents that already have no alive holder at snapshot time
   // are counted as missing up front. On the node, each task first checks
-  // the node's incarnation, then probes every assigned document in the
-  // partition's `placed` hash map: any document physically absent (the
-  // balancer migrated it between snapshot and execution) is re-routed
-  // through the live directory instead of silently serving a hole. The
+  // the node's incarnation. Then, unless the partition's removal count
+  // still equals the snapshot's (nothing can have left it), it probes
+  // every assigned document in the partition's `placed` hash map: any
+  // document physically absent (the balancer migrated it between snapshot
+  // and execution) is re-routed through the live directory instead of
+  // silently serving a hole. Failover assignments always probe. The
   // request's trace is attached while the task runs, so spans the work
   // opens on the node land in the request's trace. Every document counted
   // missing is appended to `missing` when it is non-null. Updates
@@ -443,12 +471,19 @@ class SimulatedCluster {
   // rebuilt lazily; returned as a shared snapshot so queries can hold it
   // while node tasks run. `epochs` records each owning node's incarnation
   // at snapshot time — scatter tasks verify it before trusting partition
-  // contents. `orphans` lists the documents with no valid holder in the
-  // same directory snapshot: data the cluster knows it cannot serve.
+  // contents. `removals` records each data node's partition removal count,
+  // read under the directory mutex before the walk: a holder enters the
+  // directory only after its store executed, and bytes leave only through
+  // Partition::Erase (which follows the directory swap that moved them
+  // away) or with the incarnation, so while the count and the epoch are
+  // unchanged every document the snapshot assigns a node is still there.
+  // `orphans` lists the documents with no valid holder in the same
+  // directory snapshot: data the cluster knows it cannot serve.
   using OwnershipMap = std::map<NodeId, std::set<model::DocId>>;
   struct OwnershipSnapshot {
     OwnershipMap by_node;
     std::map<NodeId, uint64_t> epochs;
+    std::map<NodeId, uint64_t> removals;
     std::vector<model::DocId> orphans;
   };
   std::shared_ptr<const OwnershipSnapshot> OwnershipByNode() const;
@@ -475,6 +510,26 @@ class SimulatedCluster {
                                        ShipStats* stats);
   // Point-op traffic counter of the routing tablet (takes ptable_mutex_).
   void BumpPartitionTraffic(model::DocId id) const;
+  // One document copy a migration moved off its source node: the version
+  // it copied (the deferred delete is checked against it) and
+  // placement_clock_ at the directory swap.
+  struct MovedCopy {
+    model::DocId id;
+    uint64_t version;
+    uint64_t swapped_at;
+  };
+  // The two halves of MovePartitionReplica. CopyAndSwap copies each of
+  // `ids` from its current holder to `to` and swaps `from` for `to` in the
+  // directory, returning the committed swaps and adding the bytes shipped.
+  // DeleteMovedCopies then erases those copies from `from`, except any the
+  // directory lists on `from` again or that a store placed there after the
+  // swap or that an ingest still in flight (not yet committed) may have
+  // placed, and re-copies to `to` a version newer than the one moved.
+  // Returns the bytes it re-copied.
+  std::vector<MovedCopy> CopyAndSwap(const std::vector<model::DocId>& ids,
+                                     NodeId from, NodeId to, uint64_t* bytes);
+  uint64_t DeleteMovedCopies(NodeId from, NodeId to,
+                             const std::vector<MovedCopy>& moved);
   // Submits one task that upserts `docs` into the node's partition;
   // `*outcome` resolves to its definitive fate, and only kExecuted means
   // the node held the documents when the task ran. Returns the
@@ -526,6 +581,12 @@ class SimulatedCluster {
   // mutable: point reads (Get) bump per-partition traffic counters.
   mutable std::map<uint64_t, PartitionState> ptable_;
   PartitionId next_pid_ = 0;
+  // placement_clock_ at the start of each StoreBatch whose directory commit
+  // is still pending (guarded by ptable_mutex_). Every copy such a batch
+  // places is stamped at or above its entry, so a migration's deferred
+  // delete spares copies stamped at or above the smallest entry: their
+  // commit may yet list the node as a holder.
+  std::multiset<uint64_t> pending_stores_;
   // Serializes partition migrations: a move runs blocking tasks on two
   // node mailboxes, and two concurrent opposite-direction moves could
   // otherwise deadlock each other's worker threads.

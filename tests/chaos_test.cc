@@ -372,6 +372,13 @@ std::unique_ptr<core::Impliance> OpenScaleOut(const std::string& dir) {
   return std::move(impliance).value();
 }
 
+// Every valid holder the directory lists physically holds the document:
+// the invariant that lets a blade skip the per-document presence probe.
+void ExpectNoDirectoryPhantoms(core::Impliance* impliance) {
+  ASSERT_NE(impliance->scale_out(), nullptr);
+  EXPECT_EQ(impliance->scale_out()->CheckIntegrity().directory_phantoms, 0u);
+}
+
 class ApplianceChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ApplianceChaosTest, NodeKilledMidFacetDegradesExplicitly) {
@@ -427,6 +434,7 @@ TEST_P(ApplianceChaosTest, NodeKilledMidFacetDegradesExplicitly) {
   EXPECT_TRUE(recovered_health.degraded);
   EXPECT_GT(recovered_health.missing_partitions, 0u);
   EXPECT_LT(recovered.total_matches, 40u);
+  ExpectNoDirectoryPhantoms(impliance.get());
 }
 
 // Keyword and field search rank from the core's own index, which keeps the
@@ -476,6 +484,7 @@ TEST_P(ApplianceChaosTest, NodeKilledMidSearchDegradesExplicitly) {
   }
   EXPECT_TRUE(field_health.degraded);
   EXPECT_EQ(field_health.missing_partitions, health.missing_partitions);
+  ExpectNoDirectoryPhantoms(impliance.get());
 }
 
 TEST_P(ApplianceChaosTest, NodeKilledMidSqlDegradesExplicitly) {
@@ -503,6 +512,7 @@ TEST_P(ApplianceChaosTest, NodeKilledMidSqlDegradesExplicitly) {
   EXPECT_TRUE(health.degraded);
   EXPECT_GT(health.missing_partitions, 0u);
   EXPECT_LT(rows->size(), 40u);
+  ExpectNoDirectoryPhantoms(impliance.get());
 }
 
 // A blade dies in the submit window of an InfuseContent batch's mirror
@@ -625,6 +635,7 @@ TEST_P(ApplianceChaosTest, SqlStaysCoherentWithBalancerArmed) {
   // Quiesce stops the balancer before teardown.
   impliance->Quiesce();
   EXPECT_FALSE(cluster->balancer_running());
+  ExpectNoDirectoryPhantoms(impliance.get());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ApplianceChaosTest,

@@ -644,6 +644,9 @@ TEST(PartitionTableTest, ConcurrentMigrationNeverSilentlyPartial) {
     EXPECT_EQ(missing, nullptr) << "query " << i;
     EXPECT_EQ(cluster.num_documents() - (missing ? missing->size() : 0), 60u)
         << "query " << i;
+    // The physical audit holds mid-migration: a moved copy is deleted only
+    // after the directory stopped naming its old holder.
+    EXPECT_EQ(cluster.CheckIntegrity().directory_phantoms, 0u) << "query " << i;
   }
   stop.store(true);
   mover.join();

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -25,6 +26,59 @@
 #include "core/impliance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+
+namespace impliance::cluster {
+
+// Test-only access to a blade's bytes and to the halves of a migration.
+class SimulatedClusterTestPeer {
+ public:
+  // The first node the directory lists for `id`.
+  static NodeId FirstHolder(SimulatedCluster* cluster, model::DocId id) {
+    std::lock_guard<std::mutex> lock(cluster->directory_mutex_);
+    return cluster->directory_.at(id).holders.front().node;
+  }
+
+  // Erases `id`'s bytes from its first directory holder through the
+  // partition's own erase helper, on that blade's mailbox, and leaves the
+  // directory untouched: it still names a holder that no longer has the
+  // document.
+  static void EraseBytes(SimulatedCluster* cluster, model::DocId id) {
+    const NodeId node = FirstHolder(cluster, id);
+    std::shared_ptr<SimulatedCluster::Partition> partition =
+        cluster->PartitionFor(node);
+    ASSERT_EQ(cluster->data_nodes_[node]->Run(
+                  [partition, id] { partition->Erase(id); }),
+              TaskOutcome::kExecuted);
+  }
+
+  // The version of `id` stored on `node`, read on its mailbox; 0 if none.
+  static uint64_t StoredVersion(SimulatedCluster* cluster, NodeId node,
+                                model::DocId id) {
+    std::shared_ptr<SimulatedCluster::Partition> partition =
+        cluster->PartitionFor(node);
+    uint64_t version = 0;
+    cluster->data_nodes_[node]->Run([&partition, id, &version] {
+      auto it = partition->docs.find(id);
+      if (it != partition->docs.end()) version = it->second->version;
+    });
+    return version;
+  }
+
+  // MovePartitionReplica's copy-and-swap for one document, without the
+  // delete: the committed swaps, for DeleteMovedCopies.
+  static std::vector<SimulatedCluster::MovedCopy> CopyAndSwap(
+      SimulatedCluster* cluster, model::DocId id, NodeId from, NodeId to) {
+    uint64_t bytes = 0;
+    return cluster->CopyAndSwap({id}, from, to, &bytes);
+  }
+  static void DeleteMovedCopies(
+      SimulatedCluster* cluster, NodeId from, NodeId to,
+      const std::vector<SimulatedCluster::MovedCopy>& moved) {
+    cluster->DeleteMovedCopies(from, to, moved);
+  }
+};
+
+}  // namespace impliance::cluster
 
 namespace impliance::core {
 namespace {
@@ -632,6 +686,143 @@ TEST(ScaleOutAvailabilityTest, DocumentWhoseMirrorFailedStaysExcluded) {
   ASSERT_FALSE(oracle.servable.contains(unmirrored));
   ASSERT_FALSE(oracle.health.degraded);
   ExpectMatchesDirectory(impliance.get(), *reference, oracle, {unmirrored});
+}
+
+// A blade loses one document's bytes while the directory still names it
+// as the only holder (replication 1). The availability check runs against
+// an ownership snapshot cached before the loss, so only the blade's moved
+// removal count tells it to probe: it finds the hole, and no query serves
+// the document. Without the probe, or without the erase bumping the
+// count, the stale snapshot would vouch for the document.
+TEST(ScaleOutAvailabilityTest, ErasedBytesAreProbedAndExcluded) {
+  TempDir dir("avail_erased");
+  auto impliance = OpenBlades(dir, 1);
+  TempDir reference_dir("avail_erased_reference");
+  auto reference = OpenReference(reference_dir);
+  cluster::SimulatedCluster* cluster = impliance->scale_out();
+  const obs::Counter* probes =
+      obs::Registry::Global().GetCounter("cluster.presence_probes");
+
+  // Steady state: the snapshot is cached, and no check probes a document.
+  ASSERT_EQ(cluster->AvailableDocs(), nullptr);
+  const uint64_t steady = probes->Value();
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(cluster->AvailableDocs(), nullptr);
+  EXPECT_EQ(probes->Value(), steady);
+  EXPECT_EQ(cluster->CheckIntegrity().directory_phantoms, 0u);
+
+  const DocId erased = impliance->DocsOfKind("order")[1234];
+  cluster::SimulatedClusterTestPeer::EraseBytes(cluster, erased);
+  EXPECT_EQ(cluster->CheckIntegrity().directory_phantoms, 1u);
+  cluster::ShipStats ship;
+  const auto missing = cluster->AvailableDocs(&ship);
+  EXPECT_GT(probes->Value(), steady);
+  ASSERT_NE(missing, nullptr);
+  EXPECT_EQ(*missing, std::unordered_set<DocId>{erased});
+  EXPECT_TRUE(ship.degraded);
+  EXPECT_EQ(ship.missing_partitions, 1u);
+
+  // Get finds no bytes, so the oracle does not count the document as
+  // servable; the directory still lists its holder, so unlike an
+  // unmirrored document it counts as missing.
+  DirectoryOracle oracle = OracleFromDirectory(*impliance, cluster);
+  ASSERT_FALSE(oracle.servable.contains(erased));
+  ASSERT_EQ(oracle.servable.size(), 4999u);
+  oracle.health = QueryHealth{true, 1};
+  ExpectMatchesDirectory(impliance.get(), *reference, oracle);
+}
+
+// An update re-mirrors a document through IngestBatch, which commits the
+// new holders to the directory only after every store task of the batch
+// has answered. Here the batch's store of the updated document lands on
+// its blade before a migration swaps that blade out of the directory, and
+// a second document's store, on a held-back blade, keeps the commit
+// pending until after (or, in the other order, before) the migration's
+// delete of the source copy. Either way the commit lists the source blade
+// again, so its copy must survive: the document stays servable, and no
+// availability check or search vouches for a holder without the bytes.
+void RaceUpdateCommitWithMigrationDelete(bool commit_before_delete) {
+  using Peer = cluster::SimulatedClusterTestPeer;
+  cluster::SimulatedCluster::Options options;
+  options.num_data_nodes = 4;
+  options.replication = 1;
+  cluster::SimulatedCluster cluster(options);
+  std::vector<DocId> ids;
+  for (int i = 0; i < 32; ++i) {
+    auto id = cluster.Ingest(
+        MakeTextDocument("memo", "", "memo " + std::to_string(i)));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  const DocId updated = ids.front();
+  const cluster::NodeId from = Peer::FirstHolder(&cluster, updated);
+  DocId held = 0;
+  cluster::NodeId stalled = from;
+  for (DocId id : ids) {
+    stalled = Peer::FirstHolder(&cluster, id);
+    if (stalled != from) {
+      held = id;
+      break;
+    }
+  }
+  ASSERT_NE(held, 0u);
+  cluster::NodeId to = 0;
+  while (to == from || to == stalled) ++to;
+
+  // Hold back the second blade's mailbox so the batch cannot commit.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::future<cluster::TaskOutcome> gate_outcome;
+  ASSERT_TRUE(
+      cluster.data_nodes()[stalled]->Submit([gate] { gate.wait(); },
+                                            &gate_outcome));
+  std::vector<model::Document> batch;
+  for (DocId id : {updated, held}) {
+    model::Document doc = MakeTextDocument("memo", "", "memo updated");
+    doc.id = id;
+    doc.version = 2;
+    batch.push_back(std::move(doc));
+  }
+  cluster::SimulatedCluster::BatchIngest written;
+  std::thread writer(
+      [&] { written = cluster.IngestBatch(std::move(batch)); });
+  while (Peer::StoredVersion(&cluster, from, updated) != 2) {
+    std::this_thread::yield();
+  }
+  const auto moved = Peer::CopyAndSwap(&cluster, updated, from, to);
+  if (commit_before_delete) {
+    release.set_value();
+    writer.join();
+    Peer::DeleteMovedCopies(&cluster, from, to, moved);
+  } else {
+    Peer::DeleteMovedCopies(&cluster, from, to, moved);
+    release.set_value();
+    writer.join();
+  }
+  EXPECT_EQ(moved.size(), 1u);
+  EXPECT_TRUE(written.unplaced.empty());
+
+  EXPECT_TRUE(cluster.CheckIntegrity().ok());
+  EXPECT_EQ(cluster.CheckIntegrity().directory_phantoms, 0u);
+  const auto doc = cluster.Get(updated);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->version, 2u);
+  cluster::ShipStats ship;
+  EXPECT_EQ(cluster.AvailableDocs(&ship), nullptr);
+  EXPECT_FALSE(ship.degraded);
+  cluster::ShipStats search_ship;
+  const auto hits = cluster.KeywordSearch("memo", 100, &search_ship);
+  EXPECT_FALSE(search_ship.degraded);
+  std::set<DocId> found;
+  for (const auto& hit : hits) found.insert(hit.doc);
+  EXPECT_EQ(found, std::set<DocId>(ids.begin(), ids.end()));
+}
+
+TEST(ScaleOutAvailabilityTest, UpdateCommittedAfterMigrationDeleteKeepsItsCopy) {
+  RaceUpdateCommitWithMigrationDelete(/*commit_before_delete=*/false);
+}
+
+TEST(ScaleOutAvailabilityTest, UpdateCommittedBeforeMigrationDeleteKeepsItsCopy) {
+  RaceUpdateCommitWithMigrationDelete(/*commit_before_delete=*/true);
 }
 
 // One batch whose rows route to live and dead blades fails as a whole
