@@ -168,18 +168,15 @@ class ClassBatchSource : public exec::BatchSource {
 // its structures" (Section 3.2).
 class Impliance::DocumentTable : public query::Table {
  public:
-  DocumentTable(const Impliance* owner, std::string kind, model::ViewDef view,
+  DocumentTable(const Impliance* owner, model::ViewDef view,
                 ExcludedSet excluded)
-      : owner_(owner),
-        kind_(std::move(kind)),
-        view_(std::move(view)),
-        excluded_(std::move(excluded)) {
+      : owner_(owner), view_(std::move(view)), excluded_(std::move(excluded)) {
     for (const model::ViewColumn& column : view_.columns) {
       schema_.AddColumn(column.name);
     }
   }
 
-  const std::string& table_name() const override { return kind_; }
+  const std::string& table_name() const override { return view_.kind; }
   const exec::Schema& schema() const override { return schema_; }
 
   bool SupportsZoneMapSkipping() const override { return true; }
@@ -188,7 +185,7 @@ class Impliance::DocumentTable : public query::Table {
   // superset of the servable rows, which statistics can live with.
   std::optional<query::ColumnSummary> SummarizeColumn(
       int column) const override {
-    return owner_->ProjectionFor(kind_, view_)->SummarizeColumn(column);
+    return owner_->ProjectionFor(view_.kind)->SummarizeColumn(column);
   }
 
   bool HasIndexOn(int column) const override { return true; }
@@ -204,7 +201,9 @@ class Impliance::DocumentTable : public query::Table {
         owner_->values_.Range(view_.columns[column].path, lo, true, hi, true));
   }
 
-  size_t RowCount() const override { return owner_->paths_.KindSize(kind_); }
+  size_t RowCount() const override {
+    return owner_->paths_.KindSize(view_.kind);
+  }
 
   // The store epoch is appliance-wide, so any ingest "moves" every view;
   // the stats cache's row-drift check keeps that from forcing recollection
@@ -221,7 +220,7 @@ class Impliance::DocumentTable : public query::Table {
       exec::Schema schema, std::vector<int> columns,
       std::vector<exec::Predicate> hints) const override {
     return std::make_unique<ProjectionSource>(
-        owner_->ProjectionFor(kind_, view_), std::move(schema),
+        owner_->ProjectionFor(view_.kind), std::move(schema),
         std::move(columns), std::move(hints), excluded_);
   }
 
@@ -230,7 +229,7 @@ class Impliance::DocumentTable : public query::Table {
     std::vector<exec::Row> rows;
     for (model::DocId id : ids) {
       // Value-index hits may include other kinds sharing the path.
-      if (!owner_->paths_.KindContains(kind_, id)) continue;
+      if (!owner_->paths_.KindContains(view_.kind, id)) continue;
       // Excluded documents are on unreachable partitions (or were never
       // mirrored); the caller reports the unreachable ones as missing
       // rather than serving them from the local store as if the cluster
@@ -243,7 +242,6 @@ class Impliance::DocumentTable : public query::Table {
   }
 
   const Impliance* owner_;
-  std::string kind_;
   model::ViewDef view_;
   ExcludedSet excluded_;
   exec::Schema schema_;
@@ -432,19 +430,15 @@ Status Impliance::IndexDocumentLocked(const model::Document& doc) {
     joins_.AddEdge(doc.id, ref.target, ref.relation);
   }
   std::lock_guard<std::mutex> views_lock(views_mutex_);
-  dirty_kinds_.insert(doc.kind);
-  // Ingest extends a built projection in place. Ids come from the store in
-  // ascending order, so the row lands where a rebuild would put it; any
-  // other id (a re-kinded Update) drops the projection for a rebuild.
-  auto projection = projections_.find(doc.kind);
-  if (projection != projections_.end()) {
-    KindProjection& kind_projection = projection->second;
-    if (doc.id > kind_projection.last_id) {
-      kind_projection.table->AddRow(ProjectionRow(kind_projection.view, doc));
-      kind_projection.last_id = doc.id;
-    } else {
-      projections_.erase(projection);
-    }
+  KindSql& sql = kind_sql_[doc.kind];
+  if (doc.id <= sql.sample_last) sql.stale = true;
+  // Ingest extends a built projection in place: the store hands out ids in
+  // ascending order, so the kind's newest row lands where a rebuild would
+  // put it. Any other id (a re-kinded Update) drops it for a rebuild.
+  if (sql.projection != nullptr && paths_.KindDocs(doc.kind).back() == doc.id) {
+    sql.projection->AddRow(ProjectionRow(sql.view, doc));
+  } else {
+    sql.projection = nullptr;
   }
   return Status::OK();
 }
@@ -455,10 +449,11 @@ Status Impliance::DeindexDocumentLocked(const model::Document& doc) {
   values_.RemoveDocument(doc);
   facets_.RemoveDocument(doc);
   std::lock_guard<std::mutex> views_lock(views_mutex_);
-  dirty_kinds_.insert(doc.kind);
+  KindSql& sql = kind_sql_[doc.kind];
+  if (doc.id <= sql.sample_last) sql.stale = true;
   // A removed row would need a tombstone; rebuilding on the next scan is
   // simpler and Updates are rare next to scans.
-  projections_.erase(doc.kind);
+  sql.projection = nullptr;
   return Status::OK();
 }
 
@@ -660,11 +655,9 @@ Impliance::AvailableRead Impliance::ReadAvailable(QueryHealth* health) const {
 
 model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
   std::lock_guard<std::mutex> views_lock(views_mutex_);
-  auto cached = view_cache_.find(kind);
-  if (cached != view_cache_.end() && !dirty_kinds_.count(kind)) {
-    return cached->second;
-  }
-  // Infer from up to 32 sample documents of the kind.
+  KindSql& sql = kind_sql_[kind];
+  if (!sql.stale) return sql.view;
+  obs::ScopedSpan infer_span("core.infer_view");
   std::vector<model::Document> sample_docs;
   std::vector<const model::Document*> sample;
   for (model::DocId id : paths_.KindDocs(kind)) {
@@ -674,47 +667,57 @@ model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
   }
   for (const model::Document& doc : sample_docs) sample.push_back(&doc);
   model::ViewDef view = model::InferView(kind, kind, sample);
-  view_cache_[kind] = view;
-  dirty_kinds_.erase(kind);
-  return view;
+  // A projection laid out under another view has the wrong columns.
+  if (view != sql.view) sql.projection = nullptr;
+  sql.view = std::move(view);
+  sql.sample_last =
+      sample_docs.size() < 32 ? ~model::DocId{0} : sample_docs.back().id;
+  sql.stale = false;
+  return sql.view;
 }
 
 std::shared_ptr<const query::ColumnarTable> Impliance::ProjectionFor(
-    const std::string& kind, const model::ViewDef& view) const {
+    const std::string& kind) const {
   std::lock_guard<std::mutex> views_lock(views_mutex_);
-  // A projection laid out under another view (the kind's re-inferred view
-  // gained or lost a column) has the wrong columns: rebuild it.
-  auto it = projections_.find(kind);
-  if (it != projections_.end() && it->second.view == view) {
-    return it->second.table;
-  }
+  KindSql& sql = kind_sql_[kind];
+  if (sql.projection != nullptr) return sql.projection;
   // One pass over the kind's documents in ascending id order. Built under
   // views_mutex_, so concurrent first scans of a kind build it once.
   obs::ScopedSpan project_span("core.project");
-  KindProjection projection;
-  projection.view = view;
-  projection.table = std::make_shared<query::ColumnarTable>(
-      kind, ProjectionSchema(view), kProjectionSegmentRows);
+  sql.projection = std::make_shared<query::ColumnarTable>(
+      kind, ProjectionSchema(sql.view), kProjectionSegmentRows);
   for (model::DocId id : paths_.KindDocs(kind)) {
     Result<model::Document> doc = store_->Get(id);
     if (!doc.ok()) continue;
-    projection.table->AddRow(ProjectionRow(view, *doc));
-    projection.last_id = id;
+    sql.projection->AddRow(ProjectionRow(sql.view, *doc));
   }
-  std::shared_ptr<const query::ColumnarTable> table = projection.table;
-  projections_[kind] = std::move(projection);
-  return table;
+  return sql.projection;
 }
 
-query::Catalog Impliance::BuildCatalogLocked(ExcludedSet excluded) const {
+Result<query::Catalog> Impliance::CatalogForLocked(
+    const query::SelectStatement& stmt, const std::string& principal,
+    const ExcludedSet& excluded) const {
+  obs::ScopedSpan catalog_span("core.catalog");
   query::Catalog catalog;
-  for (const std::string& kind : paths_.Kinds()) {
-    catalog.Register(std::make_shared<DocumentTable>(
-        this, kind, ViewForLocked(kind), excluded));
-  }
-  for (const discovery::SchemaClass& schema_class : schema_classes_) {
-    catalog.Register(
-        std::make_shared<ClassTable>(this, schema_class, excluded));
+  for (const std::string& name : stmt.TableNames()) {
+    auto schema_class = std::ranges::find(schema_classes_, name,
+                                          &discovery::SchemaClass::name);
+    const bool is_class = schema_class != schema_classes_.end();
+    // A schema class is readable when every member kind is.
+    for (const std::string& kind :
+         is_class ? schema_class->kinds : std::vector{name}) {
+      if (!access_.CanRead(principal, kind)) {
+        return Status::Aborted("principal " + principal +
+                               " may not read the queried kinds");
+      }
+    }
+    if (is_class) {
+      catalog.Register(
+          std::make_shared<ClassTable>(this, *schema_class, excluded));
+    } else if (paths_.KindSize(name) > 0) {
+      catalog.Register(std::make_shared<DocumentTable>(
+          this, ViewForLocked(name), excluded));
+    }
   }
   return catalog;
 }
@@ -729,7 +732,9 @@ Result<Impliance::ExplainResult> Impliance::ExplainSql(
     const std::string& sql, const std::string& planner_name) const {
   IMPLIANCE_ASSIGN_OR_RETURN(query::SelectStatement stmt, query::ParseSql(sql));
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  query::Catalog catalog = BuildCatalogLocked();
+  IMPLIANCE_ASSIGN_OR_RETURN(
+      query::Catalog catalog,
+      CatalogForLocked(stmt, AccessController::kAdmin, nullptr));
   IMPLIANCE_ASSIGN_OR_RETURN(
       std::unique_ptr<query::Planner> planner,
       query::CreatePlanner(planner_name, &stats_cache_));
@@ -746,52 +751,32 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
   if (!access_.HasPrincipal(principal)) {
     return Status::InvalidArgument("unknown principal: " + principal);
   }
+  query::SelectStatement stmt;
   exec::ExecOptions exec_options;
   {
     obs::ScopedSpan plan_span("core.plan");
-    IMPLIANCE_ASSIGN_OR_RETURN(query::SelectStatement stmt,
-                               query::ParseSql(sql));
-    // Kind-level policy: the statement's table(s) map to kinds (or schema
-    // classes, readable when every member kind is).
-    auto kind_readable = [this, &principal](const std::string& table) {
-      if (access_.CanRead(principal, table)) return true;
-      std::shared_lock<std::shared_mutex> lock(mutex_);
-      for (const discovery::SchemaClass& schema_class : schema_classes_) {
-        if (schema_class.name != table) continue;
-        for (const std::string& kind : schema_class.kinds) {
-          if (!access_.CanRead(principal, kind)) return false;
-        }
-        return true;
-      }
-      return false;
-    };
-    bool readable = kind_readable(stmt.table);
-    for (const query::JoinClause& join : stmt.joins) {
-      readable = readable && kind_readable(join.table);
-    }
-    if (!readable) {
-      audit_.Record(principal, "sql(denied)", sql, {});
-      return Status::Aborted("principal " + principal +
-                             " may not read the queried kinds");
-    }
+    IMPLIANCE_ASSIGN_OR_RETURN(stmt, query::ParseSql(sql));
     exec_options.dop = ChooseDop();
   }
   // Availability before the scan: with a scale-out tier, table scans may
   // only read documents the blades can serve; the rest is reported through
   // `health` — the complete-or-degraded contract of every query interface.
-  Result<std::vector<exec::Row>> rows =
-      [&]() -> Result<std::vector<exec::Row>> {
-    const AvailableRead read = ReadAvailable(health);
-    query::Catalog catalog = BuildCatalogLocked(read.excluded);
-    IMPLIANCE_ASSIGN_OR_RETURN(
-        std::unique_ptr<query::Planner> planner,
-        query::CreatePlanner(planner_name, &stats_cache_));
-    return query::RunSql(sql, catalog, planner.get(), exec_options);
-  }();
-  if (rows.ok()) {
-    // Row-level ids are not surfaced by SQL; audit the kinds touched.
-    audit_.Record(principal, "sql", sql, {});
+  // Access is checked under the same lock hold that serves the tables.
+  const AvailableRead read = ReadAvailable(health);
+  Result<query::Catalog> catalog =
+      CatalogForLocked(stmt, principal, read.excluded);
+  if (!catalog.ok()) {
+    audit_.Record(principal, "sql(denied)", sql, {});
+    return catalog.status();
   }
+  IMPLIANCE_ASSIGN_OR_RETURN(
+      std::unique_ptr<query::Planner> planner,
+      query::CreatePlanner(planner_name, &stats_cache_));
+  IMPLIANCE_ASSIGN_OR_RETURN(
+      std::vector<exec::Row> rows,
+      query::RunSql(stmt, *catalog, planner.get(), exec_options));
+  // Row-level ids are not surfaced by SQL; audit the kinds touched.
+  audit_.Record(principal, "sql", sql, {});
   return rows;
 }
 

@@ -267,13 +267,16 @@ class Impliance {
 
   explicit Impliance(ImplianceOptions options);
 
-  // A kind's inferred view laid out column-wise: the view's columns plus a
-  // hidden trailing doc-id column, one row per document in ascending id
-  // order — exactly the rows a document-by-document scan would produce.
-  struct KindProjection {
+  // One kind's SQL state. The view is inferred from the kind's first 32
+  // documents by id, so only a write at or below `sample_last` (every id
+  // when the kind had fewer) makes it stale. The projection is the view
+  // column-wise plus a hidden doc-id column, one row per document in id
+  // order; built on first scan, dropped when a re-inferred view differs.
+  struct KindSql {
     model::ViewDef view;
-    std::shared_ptr<query::ColumnarTable> table;
-    model::DocId last_id = model::kInvalidDocId;
+    model::DocId sample_last = model::kInvalidDocId;
+    bool stale = true;
+    std::shared_ptr<query::ColumnarTable> projection;
   };
 
   Status IndexDocumentLocked(const model::Document& doc);
@@ -285,13 +288,17 @@ class Impliance {
   Result<std::vector<model::DocId>> InfuseLocked(
       std::vector<model::Document> docs);
   model::ViewDef ViewForLocked(const std::string& kind) const;
-  // The projection of `kind` under `view` (the kind's current view),
-  // built on first use. Caller holds mutex_ (shared suffices).
+  // The projection of `kind` under its current view. Caller holds mutex_
+  // (shared suffices) and has read the view under it.
   std::shared_ptr<const query::ColumnarTable> ProjectionFor(
-      const std::string& kind, const model::ViewDef& view) const;
-  // `excluded` (optional) drops that document set from every table — the
-  // scale-out tier's availability check under partial failure.
-  query::Catalog BuildCatalogLocked(ExcludedSet excluded = nullptr) const;
+      const std::string& kind) const;
+  // The catalog of the tables `stmt` names, each the schema class of that
+  // name if any, else the kind (neither: left out, so planning reports an
+  // unknown table); Aborted unless `principal` may read every kind behind
+  // them. Tables skip `excluded` (the scale-out availability check).
+  Result<query::Catalog> CatalogForLocked(const query::SelectStatement& stmt,
+                                          const std::string& principal,
+                                          const ExcludedSet& excluded) const;
   // The one loop that turns ranked index hits into answers: skips
   // `excluded` documents, fetches each body, drops kinds `principal` may
   // not read, stops at `k` hits, and audits the query under `interface`
@@ -349,13 +356,12 @@ class Impliance {
   std::unordered_set<model::DocId> unmirrored_;
 
   // Per-kind SQL state. Queries fill it lazily under the shared mutex_,
-  // so it has a lock of its own; ingest appends to projections (and
-  // Update drops them) under the exclusive mutex_, so a scan never sees
-  // its projection change underneath it. Lock order: mutex_, then this.
+  // so it has a lock of its own; ingest marks views stale and appends to
+  // projections (and Update drops them) under the exclusive mutex_, so a
+  // statement never sees its view or projection change underneath it.
+  // Lock order: mutex_, then this.
   mutable std::mutex views_mutex_;
-  mutable std::map<std::string, model::ViewDef> view_cache_;
-  mutable std::set<std::string> dirty_kinds_;
-  mutable std::map<std::string, KindProjection> projections_;
+  mutable std::map<std::string, KindSql> kind_sql_;
 
   mutable AccessController access_;
   mutable AuditLog audit_;

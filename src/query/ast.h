@@ -56,6 +56,13 @@ struct SelectStatement {
   std::vector<std::string> group_by;
   std::vector<OrderItem> order_by;
   std::optional<size_t> limit;
+
+  // Every table the statement names: FROM's, then each join's.
+  std::vector<std::string> TableNames() const {
+    std::vector<std::string> names = {table};
+    for (const JoinClause& join : joins) names.push_back(join.table);
+    return names;
+  }
 };
 
 }  // namespace impliance::query

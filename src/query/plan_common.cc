@@ -37,16 +37,9 @@ BoundTable MakeBoundTable(const Table* table, std::vector<int> kept) {
 Result<std::vector<const Table*>> BindTables(const SelectStatement& stmt,
                                              const Catalog& catalog) {
   std::vector<const Table*> tables;
-  const Table* from = catalog.Lookup(stmt.table);
-  if (from == nullptr) {
-    return Status::NotFound("unknown table: " + stmt.table);
-  }
-  tables.push_back(from);
-  for (const JoinClause& join : stmt.joins) {
-    const Table* table = catalog.Lookup(join.table);
-    if (table == nullptr) {
-      return Status::NotFound("unknown table: " + join.table);
-    }
+  for (const std::string& name : stmt.TableNames()) {
+    const Table* table = catalog.Lookup(name);
+    if (table == nullptr) return Status::NotFound("unknown table: " + name);
     tables.push_back(table);
   }
   return tables;

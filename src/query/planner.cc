@@ -203,10 +203,9 @@ Result<std::optional<ParallelPlan>> SimplePlanner::PlanParallel(
   return std::optional<ParallelPlan>(std::move(parallel));
 }
 
-Result<std::vector<exec::Row>> RunSql(std::string_view sql,
+Result<std::vector<exec::Row>> RunSql(const SelectStatement& stmt,
                                       const Catalog& catalog, Planner* planner,
                                       const exec::ExecOptions& options) {
-  IMPLIANCE_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
   if (options.dop > 1) {
     IMPLIANCE_ASSIGN_OR_RETURN(std::optional<ParallelPlan> parallel,
                                planner->PlanParallel(stmt, catalog));
@@ -223,6 +222,13 @@ Result<std::vector<exec::Row>> RunSql(std::string_view sql,
   }
   IMPLIANCE_ASSIGN_OR_RETURN(PlanResult plan, planner->Plan(stmt, catalog));
   return exec::Execute(plan.root.get());
+}
+
+Result<std::vector<exec::Row>> RunSql(std::string_view sql,
+                                      const Catalog& catalog, Planner* planner,
+                                      const exec::ExecOptions& options) {
+  IMPLIANCE_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
+  return RunSql(stmt, catalog, planner, options);
 }
 
 }  // namespace impliance::query

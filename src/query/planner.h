@@ -87,10 +87,13 @@ class SimplePlanner : public Planner {
       const SelectStatement& stmt, const Catalog& catalog) override;
 };
 
-// Parses and plans `sql`, executes the plan, and returns the rows. With
-// options.dop > 1 the planner's PlanParallel shape (when available) runs on
-// the shared morsel executor; result rows are identical to the serial plan
-// (collects preserve source order, aggregates emit in key order).
+// Plans `stmt` (or parses `sql` first), executes the plan, and returns the
+// rows. With options.dop > 1 the planner's PlanParallel shape (when
+// available) runs on the shared morsel executor; rows equal the serial
+// plan's (collects keep source order, aggregates emit in key order).
+Result<std::vector<exec::Row>> RunSql(const SelectStatement& stmt,
+                                      const Catalog& catalog, Planner* planner,
+                                      const exec::ExecOptions& options = {});
 Result<std::vector<exec::Row>> RunSql(std::string_view sql,
                                       const Catalog& catalog, Planner* planner,
                                       const exec::ExecOptions& options = {});

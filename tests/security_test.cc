@@ -220,6 +220,48 @@ TEST(ImplianceSecurityTest, DeniedSqlIsAuditedAsDenied) {
   EXPECT_EQ(entries[0].interface, "sql(denied)");
 }
 
+// A name that is both a kind and a schema class is checked as the table SQL
+// serves: the class, readable only when every member kind is. A grant on
+// the kind of that name must not open the class's members.
+TEST(ImplianceSecurityTest, SqlOnANameThatIsBothAKindAndAClass) {
+  TempDir dir("kind_and_class");
+  auto impliance = std::move(Impliance::Open({.data_dir = dir.path()})).value();
+  ASSERT_TRUE(
+      impliance->InfuseContent("order", "city,total\nlondon,30\nparis,10\n")
+          .ok());
+  ASSERT_TRUE(
+      impliance->InfuseContent("class_order", "name,region\nann,emea\n").ok());
+  ASSERT_TRUE(impliance->RunDiscovery().ok());
+  // No shared leaf names, so discovery keeps one class per kind, and the
+  // class built around `order` is named like the second kind.
+  const std::vector<discovery::SchemaClass> classes =
+      impliance->SchemaClasses();
+  auto order_class = std::ranges::find(classes, std::string("class_order"),
+                                       &discovery::SchemaClass::name);
+  ASSERT_NE(order_class, classes.end());
+  ASSERT_EQ(order_class->kinds, std::vector<std::string>{"order"});
+
+  impliance->access_control().CreatePrincipal("p");
+  ASSERT_TRUE(impliance->access_control().GrantRead("p", "class_order").ok());
+  const std::string sql = "SELECT * FROM class_order";
+  auto denied = impliance->SqlAs("p", sql);
+  EXPECT_TRUE(denied.status().IsAborted())
+      << "served " << (denied.ok() ? denied->size() : 0) << " rows";
+  auto entries = impliance->audit_log().ByPrincipal("p");
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].interface, "sql(denied)");
+
+  // Admin still reads the class: the two orders.
+  auto admin = impliance->Sql(sql);
+  ASSERT_TRUE(admin.ok()) << admin.status().ToString();
+  EXPECT_EQ(admin->size(), 2u);
+  // A grant on the member kind opens the class.
+  ASSERT_TRUE(impliance->access_control().GrantRead("p", "order").ok());
+  auto allowed = impliance->SqlAs("p", sql);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  EXPECT_EQ(*allowed, *admin);
+}
+
 // ------------------------------------------------------------------ Lineage
 
 TEST(ImplianceLineageTest, AnnotationTracesToBase) {

@@ -15,6 +15,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -987,29 +988,166 @@ TEST(ScaleOutAvailabilityTest, ConcurrentFailedMirrorsAreNeverServed) {
   }
 }
 
+// The names of the spans one traced SQL statement records.
+std::multiset<std::string> TracedSpans(const Impliance& impliance,
+                                       const std::string& sql) {
+  obs::TracePtr trace = obs::StartTrace("sql");
+  {
+    obs::ScopedTraceAttach attach(trace);
+    EXPECT_TRUE(impliance.Sql(sql).ok()) << sql;
+  }
+  obs::FinishTrace(trace);
+  std::multiset<std::string> names;
+  for (const obs::FinishedTrace& finished : obs::RecentTraces(16)) {
+    if (finished.trace_id != trace->trace_id()) continue;
+    for (const obs::Span& span : finished.spans) names.insert(span.name);
+  }
+  return names;
+}
+
 // A trace of the first SQL on a kind shows the projection build; the next
 // SQL on it reuses the projection and shows none.
 TEST(SqlProjectionTest, FirstScanOfAKindIsTraced) {
   TempDir dir("trace");
   auto impliance = Open({.data_dir = dir.path()});
   ASSERT_TRUE(impliance->InfuseContent("order", OrdersCsv(0, 100)).ok());
-  auto traced_spans = [&](const std::string& sql) {
-    obs::TracePtr trace = obs::StartTrace("sql");
-    {
-      obs::ScopedTraceAttach attach(trace);
-      EXPECT_TRUE(impliance->Sql(sql).ok());
-    }
-    obs::FinishTrace(trace);
-    std::multiset<std::string> names;
-    for (const obs::FinishedTrace& finished : obs::RecentTraces(16)) {
-      if (finished.trace_id != trace->trace_id()) continue;
-      for (const obs::Span& span : finished.spans) names.insert(span.name);
-    }
-    return names;
-  };
   const std::string sql = "SELECT city, COUNT(*) FROM order GROUP BY city";
-  EXPECT_EQ(traced_spans(sql).count("core.project"), 1u);
-  EXPECT_EQ(traced_spans(sql).count("core.project"), 0u);
+  EXPECT_EQ(TracedSpans(*impliance, sql).count("core.project"), 1u);
+  EXPECT_EQ(TracedSpans(*impliance, sql).count("core.project"), 0u);
+}
+
+// Ingest past a kind's 32-document sample leaves its view as it is: a
+// point SQL after it resolves its table under core.catalog and infers
+// nothing.
+TEST(SqlProjectionTest, IngestPastTheSampleInfersNoView) {
+  TempDir dir("trace_catalog");
+  auto impliance = Open({.data_dir = dir.path()});
+  ASSERT_TRUE(impliance->InfuseContent("order", OrdersCsv(0, 40)).ok());
+  ASSERT_FALSE(RunSql(*impliance, "SELECT * FROM order").empty());
+  ASSERT_TRUE(impliance->InfuseContent("order", OrdersCsv(40, 50)).ok());
+  const std::multiset<std::string> spans =
+      TracedSpans(*impliance, "SELECT total FROM order WHERE order_no = 45");
+  EXPECT_EQ(spans.count("core.catalog"), 1u);
+  EXPECT_EQ(spans.count("core.infer_view"), 0u);
+}
+
+// An Update inside the sample re-infers the view, once.
+TEST(SqlProjectionTest, UpdateInsideTheSampleInfersTheViewOnce) {
+  TempDir dir("trace_update");
+  auto impliance = Open({.data_dir = dir.path()});
+  ASSERT_TRUE(impliance->InfuseContent("order", OrdersCsv(0, 40)).ok());
+  ASSERT_FALSE(RunSql(*impliance, "SELECT * FROM order").empty());
+  const DocId third = impliance->DocsOfKind("order")[2];
+  ASSERT_TRUE(impliance
+                  ->Update(third, MakeRecordDocument(
+                                      "order", {{"order_no", Value::Int(2)},
+                                                {"city", Value::String("oslo")},
+                                                {"total", Value::Int(7)}}))
+                  .ok());
+  EXPECT_EQ(TracedSpans(*impliance, "SELECT total FROM order WHERE city = "
+                                    "'oslo'")
+                .count("core.infer_view"),
+            1u);
+}
+
+// A statement resolves only the tables it names: with 50 kinds freshly
+// written, SQL on one of them infers at most that one view.
+TEST(SqlProjectionTest, SqlInfersOnlyTheViewsItNames) {
+  TempDir dir("trace_kinds");
+  auto impliance = Open({.data_dir = dir.path()});
+  for (int k = 0; k < 50; ++k) {
+    ASSERT_TRUE(impliance
+                    ->InfuseContent("kind" + std::to_string(k),
+                                    OrdersCsv(k * 3, k * 3 + 3))
+                    .ok());
+  }
+  const std::multiset<std::string> spans =
+      TracedSpans(*impliance, "SELECT COUNT(*) FROM kind7");
+  EXPECT_EQ(spans.count("core.catalog"), 1u);
+  EXPECT_LE(spans.count("core.infer_view"), 1u);
+}
+
+// The view depends only on a kind's first 32 documents by id. Over a seeded
+// mix of ingests and updates across three kinds — some documents carrying
+// a new path inside the sample, some past it, one update moving a document
+// to another kind — every kind's view stays exactly the view inferred from
+// its first 32 documents, and SELECT * stays identical to the row path.
+TEST(SqlProjectionTest, ViewIsInferredFromTheFirst32DocumentsAfterEveryWrite) {
+  TempDir dir("view_identity");
+  auto impliance = Open({.data_dir = dir.path()});
+  const std::vector<std::string> kinds = {"alpha", "beta", "gamma"};
+  std::mt19937 rng(2207);
+  auto below = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  // Ragged records; `new_path` adds a leaf no document had before.
+  int serial = 0;
+  auto record = [&](const std::string& kind, bool new_path) {
+    const int n = serial++;
+    std::vector<std::pair<std::string, Value>> fields = {{"n", Value::Int(n)}};
+    if (n % 3 != 0) {
+      fields.push_back({"tag", Value::String("t" + std::to_string(n % 5))});
+    }
+    if (new_path) fields.push_back({"p" + std::to_string(n), Value::Int(n)});
+    return MakeRecordDocument(kind, std::move(fields));
+  };
+  auto check = [&](int step) {
+    for (const std::string& kind : kinds) {
+      const std::vector<DocId> ids = impliance->DocsOfKind(kind);
+      if (ids.empty()) continue;
+      std::vector<model::Document> sample_docs;
+      for (size_t i = 0; i < ids.size() && i < 32; ++i) {
+        Result<model::Document> doc = impliance->Get(ids[i]);
+        ASSERT_TRUE(doc.ok());
+        sample_docs.push_back(std::move(doc).value());
+      }
+      std::vector<const model::Document*> sample;
+      for (const model::Document& doc : sample_docs) sample.push_back(&doc);
+      EXPECT_EQ(*impliance->ViewFor(kind), model::InferView(kind, kind, sample))
+          << kind << " after step " << step;
+      ExpectIdentity(*impliance, kind);
+    }
+  };
+  // What the sequence exercised, so a reseed cannot quietly drop a case.
+  std::map<std::string, int> covered;
+  for (int step = 0; step < 40; ++step) {
+    const size_t k = below(kinds.size());
+    const std::vector<DocId> ids = impliance->DocsOfKind(kinds[k]);
+    if (ids.size() < 40 || below(3) != 0) {
+      // Ingest 1-60 documents; now and then one carries a new path, at
+      // whatever sample position the kind's size puts it.
+      const size_t count = 1 + below(60);
+      const size_t with_path = below(3) == 0 ? below(count) : count;
+      if (with_path < count) {
+        ++covered[ids.size() + with_path < 32 ? "new path in sample"
+                                              : "new path past sample"];
+      }
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_TRUE(impliance->Infuse(record(kinds[k], i == with_path)).ok());
+      }
+    } else {
+      // Update an early (inside the sample) or a late document, with or
+      // without a new path; once, move one to another kind.
+      const bool early = below(2) == 0;
+      const size_t position = early ? below(32) : 32 + below(ids.size() - 32);
+      ++covered[early ? "update in sample" : "update past sample"];
+      size_t target = k;
+      if (covered.count("move") == 0 && step >= 20) {
+        target = (k + 1 + below(kinds.size() - 1)) % kinds.size();
+        ++covered["move"];
+      }
+      ASSERT_TRUE(impliance
+                      ->Update(ids[position],
+                               record(kinds[target], below(2) == 0))
+                      .ok());
+    }
+    check(step);
+  }
+  for (const char* kase :
+       {"new path in sample", "new path past sample", "update in sample",
+        "update past sample", "move"}) {
+    EXPECT_GT(covered[kase], 0) << kase;
+  }
 }
 
 // Planning reads no rows: EXPLAIN of a GROUP BY over 20,000 orders and of
